@@ -27,6 +27,8 @@ opg_theta0  OPG with θ=0 (offline prepare + priority eviction)
 opg_deep    OPG θ=0 on 2 disks: the same request count concentrated
             on two timelines, so per-disk structures grow ~10x deeper
             — the scenario where timeline asymptotics dominate
+lirs_dbms   LIRS vs LRU on the zoo ``dbms`` trace, whose scans keep
+            LIRS's ghost bound under pressure on almost every insert
 campaign    16-point grid via ``run_points`` with 2 workers, trace
             pickled per worker vs shipped once through shared memory
 ========== ===========================================================
@@ -61,6 +63,7 @@ from repro.traces.synthetic import (
     generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
+from repro.traces.zoo import DBMSTraceConfig, generate_dbms_trace
 
 #: Shared simulation knobs for every policy scenario.
 COMMON = {
@@ -90,6 +93,11 @@ TRACE_SEED = 1234
 
 #: ``opg_deep`` concentrates the whole trace on this many disks.
 DEEP_DISKS = 2
+
+#: ``lirs_dbms``: the ``dbms`` family as ``workload_zoo.json`` sweeps
+#: it (generator seed included), and that campaign's run settings.
+LIRS_DBMS_TRACE = {"num_disks": 18, "mean_think_s": 1.5}
+LIRS_DBMS_RUN = {"num_disks": 18, "cache_blocks": 2048, "dpm": "practical"}
 
 #: Rows of the per-scenario profile table printed by ``--profile``.
 PROFILE_TOP = 12
@@ -332,6 +340,43 @@ def run_bench(
             progress,
         )
     del deep_legacy, deep_trace, legacy_result, columnar_result
+
+    # -- LIRS on the dbms zoo trace ----------------------------------------
+    # Scans push a ghost past LIRS's bound on almost every insert, so
+    # this is where the cost of trimming the bottom-most ghost shows:
+    # a stack scan per insert ran at about 0.012x LRU here. Both legs
+    # run on the same trace, back to back.
+    dbms_cfg = DBMSTraceConfig(
+        duration_s=60.0 if small else 120.0, **LIRS_DBMS_TRACE
+    )
+    dbms_trace = generate_dbms_trace(dbms_cfg)
+    dbms_n = len(dbms_trace)
+    progress(f"lirs_dbms: {dbms_n:,} requests ...")
+    lru_s, _ = _timed(
+        lambda: run_simulation(dbms_trace, "lru", **LIRS_DBMS_RUN), repeats
+    )
+    lirs_s, _ = _timed(
+        lambda: run_simulation(dbms_trace, "lirs", **LIRS_DBMS_RUN), repeats
+    )
+    scenarios["lirs_dbms"] = {
+        "requests": dbms_n,
+        "lru_s": round(lru_s, 4),
+        "lirs_s": round(lirs_s, 4),
+        "columnar_krps": round(dbms_n / lirs_s / KILO, 1),
+        "krps_vs_lru": round(lru_s / lirs_s, 3),
+    }
+    progress(
+        f"lirs_dbms: lru {lru_s:.3f}s, lirs {lirs_s:.3f}s "
+        f"({lru_s / lirs_s:.3f}x LRU throughput)"
+    )
+    if profile_dir is not None:
+        profiles["lirs_dbms"] = _profile_scenario(
+            "lirs_dbms",
+            lambda: run_simulation(dbms_trace, "lirs", **LIRS_DBMS_RUN),
+            profile_dir,
+            progress,
+        )
+    del dbms_trace
 
     # -- campaign fan-out --------------------------------------------------
     camp_cfg = SyntheticTraceConfig(num_requests=campaign_n, seed=TRACE_SEED)

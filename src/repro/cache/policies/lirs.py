@@ -9,10 +9,18 @@ high-IRR blocks ("HIR") pass through a small resident queue ``Q``.
 Data structures: stack ``S`` holds LIR blocks plus recently-seen HIR
 blocks (resident or ghost); queue ``Q`` holds the resident HIR blocks,
 which are the eviction candidates.
+
+Ghost (non-resident HIR) entries are bounded: past ``ghost_capacity``
+the bottom-most ghosts leave the stack. Each stack entry carries a
+monotone push stamp, so the bottom-most ghost is the ghost with the
+smallest stamp, and a lazily invalidated min-heap of ``(stamp, key)``
+finds it in O(log n) instead of a scan up from the stack bottom
+(DESIGN §10, "LIRS ghost index").
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from enum import Enum, auto
 
@@ -25,6 +33,12 @@ class _Kind(Enum):
     LIR = auto()
     HIR_RESIDENT = auto()
     HIR_GHOST = auto()
+
+
+#: Stale ghost-heap entries tolerated beyond the live ghosts before the
+#: heap is rebuilt: it holds at most ``2 * ghosts + GHOST_HEAP_SLACK``
+#: entries, so tiny caches do not rebuild on every ghost that leaves.
+GHOST_HEAP_SLACK = 32
 
 
 class LIRSPolicy(ReplacementPolicy):
@@ -54,17 +68,48 @@ class LIRSPolicy(ReplacementPolicy):
         self.l_lirs = max(1, capacity - self.l_hirs)
         self.ghost_capacity = max(capacity * ghost_factor, 16)
         self._kind: dict[BlockKey, _Kind] = {}
-        self._stack: OrderedDict[BlockKey, None] = OrderedDict()  # S
+        # S: key -> push stamp; stack order is stamp order
+        self._stack: OrderedDict[BlockKey, int] = OrderedDict()
         self._queue: OrderedDict[BlockKey, None] = OrderedDict()  # Q
         self._lir_count = 0
         self._resident = 0
         self._ghosts = 0
+        self._stamp = 0
+        # (stamp, key) per ghost, plus stale entries of former ghosts
+        self._ghost_heap: list[tuple[int, BlockKey]] = []
 
     # -- internals -----------------------------------------------------------
 
     def _stack_push(self, key: BlockKey) -> None:
-        self._stack[key] = None
+        self._stamp += 1
+        self._stack[key] = self._stamp
         self._stack.move_to_end(key)
+
+    def _make_ghost(self, key: BlockKey) -> None:
+        """A resident HIR block still on the stack loses residency."""
+        self._kind[key] = _Kind.HIR_GHOST
+        self._ghosts += 1
+        heapq.heappush(self._ghost_heap, (self._stack[key], key))
+
+    def _ghost_left(self) -> None:
+        """Count one ghost gone; its heap entry, if any, is now stale.
+
+        Rebuilds the heap from its live entries once stale ones
+        outnumber live ghosts plus :data:`GHOST_HEAP_SLACK`, which keeps
+        the heap within ``2 * ghosts + GHOST_HEAP_SLACK`` entries at
+        amortized O(1) cost per departure.
+        """
+        self._ghosts -= 1
+        heap = self._ghost_heap
+        if len(heap) > 2 * self._ghosts + GHOST_HEAP_SLACK:
+            kind, stack = self._kind, self._stack
+            heap[:] = [
+                entry
+                for entry in heap
+                if kind.get(entry[1]) is _Kind.HIR_GHOST
+                and stack.get(entry[1]) == entry[0]
+            ]
+            heapq.heapify(heap)
 
     def _prune(self) -> None:
         """Pop the stack bottom until it is a LIR block."""
@@ -76,7 +121,7 @@ class LIRSPolicy(ReplacementPolicy):
             del self._stack[bottom]
             if kind is _Kind.HIR_GHOST:
                 del self._kind[bottom]
-                self._ghosts -= 1
+                self._ghost_left()
             # HIR_RESIDENT blocks stay tracked via Q.
 
     def _demote_bottom_lir(self) -> None:
@@ -89,15 +134,24 @@ class LIRSPolicy(ReplacementPolicy):
         self._prune()
 
     def _limit_ghosts(self) -> None:
+        """Drop the bottom-most ghosts until at most ``ghost_capacity``
+        remain.
+
+        A heap entry is live only while its key is still a ghost with
+        the same push stamp: a ghost's stamp cannot change while it
+        stays a ghost, and any later return to the stack restamps it.
+        The smallest live stamp is therefore the bottom-most ghost.
+        """
         if self._ghosts <= self.ghost_capacity:
             return
-        for key in list(self._stack):
-            if self._kind.get(key) is _Kind.HIR_GHOST:
-                del self._stack[key]
-                del self._kind[key]
-                self._ghosts -= 1
-                if self._ghosts <= self.ghost_capacity:
-                    break
+        heap = self._ghost_heap
+        kind, stack = self._kind, self._stack
+        while self._ghosts > self.ghost_capacity:
+            stamp, key = heapq.heappop(heap)
+            if kind.get(key) is _Kind.HIR_GHOST and stack.get(key) == stamp:
+                del stack[key]
+                del kind[key]
+                self._ghost_left()
         self._prune()
 
     # -- policy contract ---------------------------------------------------------
@@ -135,8 +189,8 @@ class LIRSPolicy(ReplacementPolicy):
         self._resident += 1
         if kind is _Kind.HIR_GHOST:
             # reuse within stack depth: becomes LIR
-            self._ghosts -= 1
             self._kind[key] = _Kind.LIR
+            self._ghost_left()
             self._lir_count += 1
             self._stack_push(key)
             if self._lir_count > self.l_lirs:
@@ -157,8 +211,7 @@ class LIRSPolicy(ReplacementPolicy):
         if self._queue:
             key, _ = self._queue.popitem(last=False)
             if key in self._stack:
-                self._kind[key] = _Kind.HIR_GHOST
-                self._ghosts += 1
+                self._make_ghost(key)
             else:
                 del self._kind[key]
             self._resident -= 1
@@ -185,8 +238,7 @@ class LIRSPolicy(ReplacementPolicy):
         elif kind is _Kind.HIR_RESIDENT:
             self._queue.pop(key, None)
             if key in self._stack:
-                self._kind[key] = _Kind.HIR_GHOST
-                self._ghosts += 1
+                self._make_ghost(key)
             else:
                 del self._kind[key]
             self._resident -= 1

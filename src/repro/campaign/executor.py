@@ -18,6 +18,11 @@ replying with the pickled :class:`~repro.sim.results.SimulationResult`.
 Results are therefore bit-identical to a serial run: the same
 deterministic simulation executes, only in another process.
 
+Generated workloads are built once per run of consecutive points with
+equal factory arguments, in each worker and in the serial loop (see
+:class:`_WorkloadSource`): grids are workload-major, so those runs are
+long, and a simulation never mutates its trace.
+
 Fixed columnar workloads are not pickled into the workers at all:
 the parent publishes the columns once into POSIX shared memory
 (:meth:`~repro.traces.columnar.ColumnarTrace.share`) and ships only
@@ -45,7 +50,12 @@ from repro.traces.columnar import ColumnarTrace, SharedTraceDescriptor
 from repro.traces.record import IORequest
 
 from repro.campaign.journal import RunJournal
-from repro.campaign.store import ResultStore, result_key, workload_token
+from repro.campaign.store import (
+    ResultStore,
+    result_key,
+    trace_args_token,
+    workload_token,
+)
 
 #: Computes one grid point: ``point_fn(workload, **run_kwargs)``.
 PointFn = Callable[..., SimulationResult]
@@ -148,6 +158,36 @@ class PointOutcome:
         }
 
 
+class _WorkloadSource:
+    """Hands each point its workload: the fixed trace, or the factory's
+    output for the point's ``trace_args``.
+
+    The last generated workload is kept and handed out again while
+    consecutive points ask for the same arguments, by the canonical
+    form that keys the result store, so a reused trace is exactly the
+    one a fresh generation would build. Sharing is safe because a
+    simulation never mutates its trace. The previous workload is
+    dropped before the factory runs, so a generation that raises is
+    never reused and the old trace can be freed before the new one is
+    built.
+    """
+
+    def __init__(self, trace: Sequence[IORequest] | Callable) -> None:
+        self.trace = trace
+        self._token: str | None = None
+        self._workload = None
+
+    def get(self, trace_args: dict[str, Any] | None):
+        if trace_args is None:
+            return self.trace
+        token = trace_args_token(trace_args)
+        if token != self._token:
+            self._token = self._workload = None
+            self._workload = self.trace(**trace_args)
+            self._token = token
+        return self._workload
+
+
 def _worker_main(
     conn,
     worker_id: int,
@@ -158,6 +198,7 @@ def _worker_main(
     attached: ColumnarTrace | None = None
     if isinstance(trace, SharedTraceDescriptor):
         trace = attached = ColumnarTrace.from_shared(trace)
+    source = _WorkloadSource(trace)
     try:
         while True:
             try:
@@ -169,10 +210,7 @@ def _worker_main(
             index, trace_args, run_kwargs = message
             started = time.perf_counter()
             try:
-                workload = (
-                    trace(**trace_args) if trace_args is not None else trace
-                )
-                result = point_fn(workload, **run_kwargs)
+                result = point_fn(source.get(trace_args), **run_kwargs)
                 reply = (index, "ok", result, time.perf_counter() - started)
             except Exception:
                 reply = (
@@ -350,17 +388,15 @@ def run_points(
 
 def _run_serial(pending, trace, point_fn, retry, on_error, key_of, finalize):
     """In-process execution, grid order preserved."""
+    source = _WorkloadSource(trace)
     for task in pending:
         tries = 0
         while True:
             started = time.perf_counter()
             try:
-                workload = (
-                    trace(**task.trace_args)
-                    if task.trace_args is not None
-                    else trace
+                result = point_fn(
+                    source.get(task.trace_args), **task.run_kwargs
                 )
-                result = point_fn(workload, **task.run_kwargs)
             except Exception as exc:
                 if tries < retry.retries:
                     tries += 1

@@ -27,8 +27,9 @@ re-parameterized by axes routed through ``trace_params``::
     }
 
 A workload *list* sweeps whole families as an implicit ``workload``
-axis (each family regenerated per grid point through the streaming
-generators), optionally re-parameterized per family::
+axis, optionally re-parameterized per family. The grid is
+workload-major, and each worker (or the serial loop) generates a
+family once and reuses it for every consecutive point of that family::
 
     {
         "trace": {"workload": ["dbms", "cdn", "tenant"],
@@ -52,11 +53,14 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.errors import CampaignError
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
 from repro.traces.io import load_trace
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.traces.record import IORequest
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 from repro.traces.zoo import (
     CDNTraceConfig,
     DBMSTraceConfig,
@@ -66,10 +70,13 @@ from repro.traces.zoo import (
     generate_tenant_trace,
 )
 
+#: Every generator streams straight into a ColumnarTrace. The factories
+#: below hash into result-store keys by their source text, so this table,
+#: not their bodies, is where a generator changes.
 _GENERATORS: dict[str, tuple[type, Callable]] = {
-    "oltp": (OLTPTraceConfig, generate_oltp_trace),
-    "cello": (CelloTraceConfig, generate_cello_trace),
-    "synthetic": (SyntheticTraceConfig, generate_synthetic_trace),
+    "oltp": (OLTPTraceConfig, generate_oltp_trace_columnar),
+    "cello": (CelloTraceConfig, generate_cello_trace_columnar),
+    "synthetic": (SyntheticTraceConfig, generate_synthetic_trace_columnar),
     "dbms": (DBMSTraceConfig, generate_dbms_trace),
     "cdn": (CDNTraceConfig, generate_cdn_trace),
     "tenant": (TenantTraceConfig, generate_tenant_trace),
@@ -138,9 +145,10 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         workload = self.trace.get("workload")
         if isinstance(workload, (list, tuple)):
-            # A workload list is an implicit "workload" axis: every
-            # family becomes one slice of the grid, regenerated per
-            # point through the trace factory.
+            # A workload list is an implicit "workload" axis placed
+            # first, so the grid is workload-major: every family is one
+            # contiguous slice, and the executor generates it once per
+            # slice in each worker rather than once per point.
             if not workload or not all(isinstance(w, str) for w in workload):
                 raise CampaignError(
                     "'trace.workload' list must be non-empty workload names"

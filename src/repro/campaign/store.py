@@ -76,13 +76,18 @@ def callable_token(fn: Callable) -> str:
     return f"{name}#{hashlib.sha256(source.encode()).hexdigest()[:16]}"
 
 
+def trace_args_token(trace_args: dict[str, Any] | None) -> str:
+    """Canonical form of a trace factory's arguments."""
+    return json.dumps(trace_args or {}, sort_keys=True, default=repr)
+
+
 def workload_token(
     trace: Sequence[IORequest] | Callable,
     trace_args: dict[str, Any] | None = None,
 ) -> str:
     """Identity of the workload a grid point runs against."""
     if callable(trace):
-        args = json.dumps(trace_args or {}, sort_keys=True, default=repr)
+        args = trace_args_token(trace_args)
         return f"factory:{callable_token(trace)}:{args}"
     return f"trace:{trace_fingerprint(trace)}"
 

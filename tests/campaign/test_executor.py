@@ -5,7 +5,9 @@ picklable under any multiprocessing start method; cross-process state
 (fail once, then succeed) goes through marker files.
 """
 
+import json
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from repro.campaign.executor import (
     run_points,
 )
 from repro.campaign.journal import RunJournal, load_journal
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, result_key, workload_token
 from repro.errors import CampaignError
 from repro.sim.runner import run_simulation
 from repro.sim.sweep import grid_sweep
@@ -59,6 +61,42 @@ def hang(workload, hang_on=None, **run_kwargs):
     if run_kwargs.get("policy") == hang_on:
         time.sleep(60)
     return run_simulation(workload, **run_kwargs)
+
+
+def counted_trace(count_file, write_ratio=0.0, fail_marker=None):
+    """Trace factory that logs each call as one line of ``count_file``
+    (a file, so calls made in worker processes count too). With
+    ``fail_marker`` set, the first call creates it and raises."""
+    with open(count_file, "a") as log:
+        log.write(f"{write_ratio}\n")
+    if fail_marker is not None and not Path(fail_marker).exists():
+        Path(fail_marker).write_text("tripped")
+        raise RuntimeError("injected generation failure")
+    return generate_synthetic_trace_columnar(
+        SyntheticTraceConfig(
+            num_requests=300, num_disks=3, write_ratio=write_ratio, seed=5
+        )
+    )
+
+
+def factory_calls(count_file) -> list[str]:
+    path = Path(count_file)
+    return path.read_text().split() if path.exists() else []
+
+
+def factory_tasks(ratios, policies):
+    """Workload-major grid: every policy for one ratio, then the next."""
+    return [
+        PointTask(
+            index=i,
+            params={"write_ratio": ratio, "policy": policy},
+            run_kwargs={"policy": policy, "num_disks": 3, "cache_blocks": 32},
+            trace_args={"write_ratio": ratio},
+        )
+        for i, (ratio, policy) in enumerate(
+            (r, p) for r in ratios for p in policies
+        )
+    ]
 
 
 def policy_tasks(policies, **extra):
@@ -119,6 +157,73 @@ class TestParallelMatchesSerial:
         for a, b in zip(shared, serial):
             assert a.status == b.status == "ok"
             assert a.result.to_dict() == b.result.to_dict()
+
+
+class TestGeneratedTraceReuse:
+    """A worker, or the serial loop, generates a workload once per run
+    of consecutive points with equal ``trace_args``."""
+
+    RATIOS = [0.0, 0.5]
+    POLICIES = ["lru", "fifo", "clock"]
+
+    def test_serial_generates_once_per_run_of_equal_args(self, tmp_path):
+        count_file = tmp_path / "calls"
+        factory = partial(counted_trace, str(count_file))
+        outcomes = run_points(
+            factory_tasks(self.RATIOS, self.POLICIES), trace=factory
+        )
+        assert all(o.ok for o in outcomes)
+        assert factory_calls(count_file) == ["0.0", "0.5"]
+
+    def test_alternating_args_regenerate(self, tmp_path):
+        count_file = tmp_path / "calls"
+        tasks = factory_tasks(self.RATIOS, self.POLICIES)
+        tasks.sort(key=lambda t: (t.params["policy"], t.index))
+        run_points(tasks, trace=partial(counted_trace, str(count_file)))
+        assert len(factory_calls(count_file)) == len(tasks)
+
+    def test_failed_generation_is_not_reused(self, tmp_path):
+        count_file = tmp_path / "calls"
+        factory = partial(
+            counted_trace,
+            str(count_file),
+            fail_marker=str(tmp_path / "tripped"),
+        )
+        outcomes = run_points(
+            factory_tasks([0.5], ["lru", "fifo"]),
+            trace=factory,
+            on_error="record",
+        )
+        assert [o.status for o in outcomes] == ["failed", "ok"]
+        assert "injected generation failure" in outcomes[0].error
+        assert factory_calls(count_file) == ["0.5", "0.5"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_and_keys_match_fresh_generation(self, workers, tmp_path):
+        count_file = tmp_path / "calls"
+        factory = partial(counted_trace, str(count_file))
+        tasks = factory_tasks(self.RATIOS, self.POLICIES)
+        outcomes = run_points(
+            tasks,
+            trace=factory,
+            workers=workers,
+            store=ResultStore(tmp_path / "store"),
+        )
+        for task, outcome in zip(tasks, outcomes):
+            fresh = run_simulation(
+                counted_trace(str(tmp_path / "fresh"), **task.trace_args),
+                **task.run_kwargs,
+            )
+            assert json.dumps(
+                outcome.result.to_dict(), sort_keys=True
+            ) == json.dumps(fresh.to_dict(), sort_keys=True)
+            assert outcome.key == result_key(
+                workload_token(factory, task.trace_args), task.run_kwargs
+            )
+        # each worker meets each ratio in one contiguous run
+        calls = factory_calls(count_file)
+        assert sorted(set(calls)) == ["0.0", "0.5"]
+        assert len(calls) <= workers * len(self.RATIOS)
 
 
 class TestResultCaching:

@@ -1,18 +1,22 @@
 """Tests for campaign spec files, the analysis loaders, and the CLI."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
+import repro.campaign.store as campaign_store
 from repro.analysis.campaigns import (
     campaign_summary,
     journal_point_records,
     summary_table,
 )
+from repro.campaign.journal import RunJournal, load_journal
 from repro.campaign.spec import CampaignSpec, generated_trace, run_campaign
 from repro.cli import main
 from repro.errors import CampaignError
+from repro.traces.columnar import ColumnarTrace
 
 
 def spec_dict(**overrides):
@@ -101,6 +105,91 @@ class TestCampaignSpec:
     def test_run_campaign_returns_sweep(self):
         sweep = run_campaign(CampaignSpec.from_dict(spec_dict()))
         assert {p.params["policy"] for p in sweep.points} == {"lru", "fifo"}
+
+
+class TestColumnarGenerators:
+    """oltp, cello and synthetic campaigns generate ``ColumnarTrace``s.
+
+    The pinned store keys and result digests were recorded while these
+    families still generated ``list[IORequest]``: switching the trace
+    representation must neither change a simulated number nor
+    invalidate a stored result. The code-version salt is pinned too,
+    since it changes with every source edit.
+    """
+
+    PARAMS = {
+        "oltp": {
+            "duration_s": 60.0, "num_disks": 6, "num_hot_disks": 3, "seed": 3,
+        },
+        "cello": {"duration_s": 6.0, "num_disks": 5, "seed": 4},
+        "synthetic": {"num_requests": 400, "num_disks": 4, "seed": 5},
+    }
+    #: (store key, sha256 of the result's sorted JSON) per family/mode.
+    PINNED = {
+        ("oltp", "fixed"): (
+            "94e36e866a23f02d31b498168c6f38d68c1d183ffaa65610f4979318056dcfeb",
+            "a0a0be35a4e6ae2976f6029e651a34d3bec3b95ef8e6bd7d7b9dc3329c3dca7b",
+        ),
+        ("oltp", "factory"): (
+            "c4bd10534b3fd9c694fe231507959f018b2fae6a748f99b220c44f446bc51fc0",
+            "6d8a5bfeec75a02ab9e26a9653b2f8820725a46defc0c30330327d20e8846c9a",
+        ),
+        ("cello", "fixed"): (
+            "6fd38d722b98a0363ae33c12bdc704e40f872d14bfcf0065ae8bc7c304711c25",
+            "652d4c30cb6265d50591aad74a6c10a934acfc3b5f8ef1c6e4e921c61969fbdc",
+        ),
+        ("cello", "factory"): (
+            "5bb55db3d5d1690f89b8fa1b62be0d7f5463c4fce42b5b05d9feb875de00496e",
+            "8fab751839a14e4b88b7465992a38cf47c5c8b690e146267601b65bf2a038d42",
+        ),
+        ("synthetic", "fixed"): (
+            "128fa47adf2152a6cea131caa65af91f75f352f634183abfce0ae2809c6bf808",
+            "7bc3aae806756c506333d193ba0a4fae2c02c6b786f33cfc851acd687581249a",
+        ),
+        ("synthetic", "factory"): (
+            "31112988bf743601304a900379d13e8b859d1118753d2a7da0234d727b77bddc",
+            "69e836630ab8d6a9cb3a4241818609eca0c07f829aa998301d1f758afd14a585",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["fixed", "factory"])
+    @pytest.mark.parametrize("family", ["oltp", "cello", "synthetic"])
+    def test_point_key_and_digest_unchanged(
+        self, family, mode, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            campaign_store, "code_version_salt", lambda: "pinned-salt"
+        )
+        params = self.PARAMS[family]
+        data = {
+            "trace": {"workload": family, "params": params},
+            "axes": {"policy": ["pa-lru"]},
+            "num_disks": params["num_disks"],
+            "cache_blocks": 64,
+        }
+        if mode == "factory":
+            data["axes"] = {"write_ratio": [0.3], "policy": ["pa-lru"]}
+            data["trace_params"] = ["write_ratio"]
+        spec = CampaignSpec.from_dict(data)
+        workload = spec.load_workload()
+        if mode == "fixed":
+            assert isinstance(workload, ColumnarTrace)
+        else:
+            assert isinstance(workload(write_ratio=0.3), ColumnarTrace)
+
+        store = campaign_store.ResultStore(tmp_path / "store")
+        with RunJournal(tmp_path / "j.jsonl") as journal:
+            sweep = run_campaign(spec, store=store, journal=journal)
+        (key,) = [
+            e["key"]
+            for e in load_journal(tmp_path / "j.jsonl")
+            if e["event"] == "point"
+        ]
+        (point,) = sweep.points
+        digest = hashlib.sha256(
+            json.dumps(point.result.to_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        assert (key, digest) == self.PINNED[family, mode]
 
 
 class TestWorkloadAxis:
