@@ -53,34 +53,14 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.errors import CampaignError
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
-from repro.traces.io import load_trace
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
+from repro.traces import WORKLOADS
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
-from repro.traces.synthetic import (
-    SyntheticTraceConfig,
-    generate_synthetic_trace_columnar,
-)
-from repro.traces.zoo import (
-    CDNTraceConfig,
-    DBMSTraceConfig,
-    TenantTraceConfig,
-    generate_cdn_trace,
-    generate_dbms_trace,
-    generate_tenant_trace,
-)
 
-#: Every generator streams straight into a ColumnarTrace. The factories
-#: below hash into result-store keys by their source text, so this table,
-#: not their bodies, is where a generator changes.
-_GENERATORS: dict[str, tuple[type, Callable]] = {
-    "oltp": (OLTPTraceConfig, generate_oltp_trace_columnar),
-    "cello": (CelloTraceConfig, generate_cello_trace_columnar),
-    "synthetic": (SyntheticTraceConfig, generate_synthetic_trace_columnar),
-    "dbms": (DBMSTraceConfig, generate_dbms_trace),
-    "cdn": (CDNTraceConfig, generate_cdn_trace),
-    "tenant": (TenantTraceConfig, generate_tenant_trace),
-}
+#: The shared workload table. The factories below hash into
+#: result-store keys by their source text, so the table, not their
+#: bodies, is where a generator changes.
+_GENERATORS: dict[str, tuple[type, Callable]] = WORKLOADS
 
 _SPEC_KEYS = {
     "name",
@@ -242,7 +222,7 @@ class CampaignSpec:
     def load_workload(self) -> Sequence[IORequest] | Callable:
         """The fixed trace, or a picklable per-point factory."""
         if "file" in self.trace:
-            return load_trace(self.base_dir / self.trace["file"])
+            return ColumnarTrace.from_csv(self.base_dir / self.trace["file"])
         workload = self.trace["workload"]
         params = dict(self.trace.get("params", {}))
         if isinstance(workload, (list, tuple)):

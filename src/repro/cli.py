@@ -35,12 +35,10 @@ from repro.errors import ReproError
 from repro.power.envelope import EnergyEnvelope
 from repro.power.specs import ULTRASTAR_36Z15, build_power_model
 from repro.sim.runner import POLICY_NAMES, WRITE_POLICY_NAMES, run_simulation
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace
-from repro.traces.io import load_trace, save_trace
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+from repro.traces import WORKLOADS, ZOO_WORKLOADS
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.io import save_trace
 from repro.traces.stats import characterize
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
-from repro.traces.zoo import ZOO_WORKLOADS
 from repro.units import KILO, MINUTE, MS_PER_S
 
 #: ``generate`` / ``--workload`` choices: the classic generators plus
@@ -425,14 +423,6 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-_CLI_GENERATORS = {
-    "oltp": (OLTPTraceConfig, generate_oltp_trace),
-    "cello": (CelloTraceConfig, generate_cello_trace),
-    "synthetic": (SyntheticTraceConfig, generate_synthetic_trace),
-    **ZOO_WORKLOADS,
-}
-
-
 def _generate_workload(
     workload: str,
     seed: int | None,
@@ -443,7 +433,7 @@ def _generate_workload(
     """Build a trace from CLI generator knobs (shared generate/run path)."""
     from repro.errors import ConfigurationError
 
-    config_cls, generate = _CLI_GENERATORS[workload]
+    config_cls, generate = WORKLOADS[workload]
     overrides = {}
     if seed is not None:
         overrides["seed"] = seed
@@ -528,7 +518,7 @@ def _load(args):
             workload, seed=args.seed, duration=args.duration
         )
     else:
-        trace = load_trace(args.trace)
+        trace = ColumnarTrace.from_csv(args.trace)
     disks = args.disks or _infer_disks(trace)
     return trace, disks
 

@@ -229,16 +229,29 @@ class StorageSimulator:
         This is the batch drive style; :meth:`handle_request` +
         :meth:`finish` (wrapped by
         :class:`~repro.sim.session.SimulationSession`) is the
-        incremental one. Both produce identical results for identical
-        request streams — the differential tests pin it.
+        incremental one. A :class:`ColumnarTrace` with no probe attached
+        runs on the columnar fast loops; every other run feeds its rows
+        through :meth:`handle_request`, the scalar reference. Both
+        produce identical results for identical request streams — the
+        differential tests pin it.
         """
         if self._ran:
             raise TraceError("simulator instances are single-use")
         self._ran = True
-        columnar = isinstance(self.trace, ColumnarTrace)
+        trace = self.trace
+        columnar = isinstance(trace, ColumnarTrace)
+        if columnar:
+            # Checked up front whichever loop runs, so a disordered
+            # trace fails before any request is simulated.
+            bad = trace.first_disorder()
+            if bad is not None:
+                raise TraceError(
+                    f"trace not time-ordered at t={float(trace.times[bad])} "
+                    f"(< {float(trace.times[bad - 1])})"
+                )
         self.prepare_offline()
         if self.probe is not None:
-            start = self.trace[0].time if len(self.trace) else 0.0
+            start = trace[0].time if len(trace) else 0.0
             self.probe(
                 SimulationStart(
                     start,
@@ -250,13 +263,13 @@ class StorageSimulator:
                 )
             )
 
-        if columnar:
+        if columnar and self.probe is None:
             last_time = self._run_columnar()
         else:
             previous_time = -1.0
             last_time = 0.0
             handle_request = self.handle_request
-            for req in self.trace:
+            for req in trace:
                 if req.time < previous_time:
                     raise TraceError(
                         f"trace not time-ordered at t={req.time} "
@@ -269,133 +282,49 @@ class StorageSimulator:
         return self.finish(end_time)
 
     def _run_columnar(self) -> float:
-        """The columnar hot loop; returns the last request time.
+        """Run a probe-free columnar trace; returns the last request time.
 
-        Mirrors :meth:`handle_request` exactly — same calls into the
-        cache, write policy, and disk array, in the same order — but
-        reads the trace straight out of the columns: no
-        :class:`IORequest` objects, per-request attribute lookups
-        hoisted into locals, and the single-block case (the paper's
-        workloads are block-granular) fully inlined.
+        Picks a policy-fused loop when its gate holds, else the generic
+        :meth:`_run_columnar_fast`. All of them read the trace straight
+        out of the columns: no :class:`IORequest` objects, per-request
+        attribute lookups hoisted into locals, and the single-block case
+        (the paper's workloads are block-granular) fully inlined.
         """
         trace: ColumnarTrace = self.trace
         if len(trace) == 0:
             return 0.0
-        bad = trace.first_disorder()
-        if bad is not None:
-            raise TraceError(
-                f"trace not time-ordered at t={float(trace.times[bad])} "
-                f"(< {float(trace.times[bad - 1])})"
-            )
         times, disks, blocks, nblocks, writes = trace.as_lists()
-        if self.probe is None:
-            # The hot loops allocate tracked objects (heap tuples, res
-            # items, block states) by the million while holding large
-            # live container graphs, so generational GC rescans cost
-            # 10-15% of the run; the loops create no reference cycles
-            # (refcounting frees everything promptly), so cyclic GC is
-            # pure overhead here. Suspend it for the batch, restore in
-            # any case.
-            was_enabled = gc.isenabled()
+        # The hot loops allocate tracked objects (heap tuples, res
+        # items, block states) by the million while holding large live
+        # container graphs, so generational GC rescans cost 10-15% of
+        # the run; the loops create no reference cycles (refcounting
+        # frees everything promptly), so cyclic GC is pure overhead
+        # here. Suspend it for the batch, restore in any case.
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.disable()
+        try:
+            fused = self._fused_loop_for(trace)
+            if fused is not None:
+                return fused(trace, times, disks, blocks, writes)
+            return self._run_columnar_fast(
+                times, disks, blocks, nblocks, writes
+            )
+        finally:
             if was_enabled:
-                gc.disable()
-            try:
-                fused = self._fused_loop_for(trace)
-                if fused is not None:
-                    return fused(trace, times, disks, blocks, writes)
-                return self._run_columnar_fast(
-                    times, disks, blocks, nblocks, writes
-                )
-            finally:
-                if was_enabled:
-                    gc.enable()
-
-        cache_access = self.cache.access
-        on_write = self.write_policy.on_write
-        on_evicted = self.write_policy.on_evicted
-        # Most write policies inherit the no-op after_read_wake; skip
-        # the call entirely in that case.
-        after_read_wake = (
-            None
-            if type(self.write_policy).after_read_wake
-            is WritePolicy.after_read_wake
-            else self.write_policy.after_read_wake
-        )
-        quick = [d.submit_quick for d in self.array.disks]
-        prefetcher = self.prefetcher
-        probe = self.probe
-        hit_latency = self.config.cache_hit_latency_s
-        append_response = self._responses.append
-        disk_reads = 0
-
-        time = 0.0
-        for time, disk, block, count, is_write in zip(
-            times, disks, blocks, nblocks, writes
-        ):
-            if count == 1:
-                key = (disk, block)
-                worst = hit_latency
-                outcome = cache_access(key, time, is_write)
-                if is_write:
-                    for victim, state in outcome.evicted:
-                        on_evicted(victim, state, time)
-                    latency = on_write(key, time)
-                    if latency > worst:
-                        worst = latency
-                elif not outcome.hit:
-                    latency, wake_delay = quick[disk](time, block, False)
-                    disk_reads += 1
-                    if latency > worst:
-                        worst = latency
-                    for victim, state in outcome.evicted:
-                        on_evicted(victim, state, time)
-                    if after_read_wake is not None:
-                        after_read_wake(disk, time, woke=wake_delay > 0)
-                    if prefetcher is not None:
-                        self._prefetch(key, wake_delay > 0, time)
-            else:
-                worst = hit_latency
-                for i in range(count):
-                    key = (disk, block + i)
-                    outcome = cache_access(key, time, is_write)
-                    latency = hit_latency
-                    if is_write:
-                        for victim, state in outcome.evicted:
-                            on_evicted(victim, state, time)
-                        write_latency = on_write(key, time)
-                        if write_latency > latency:
-                            latency = write_latency
-                    elif not outcome.hit:
-                        read_latency, wake_delay = quick[disk](
-                            time, block + i, False
-                        )
-                        disk_reads += 1
-                        if read_latency > latency:
-                            latency = read_latency
-                        for victim, state in outcome.evicted:
-                            on_evicted(victim, state, time)
-                        if after_read_wake is not None:
-                            after_read_wake(disk, time, woke=wake_delay > 0)
-                        if prefetcher is not None:
-                            self._prefetch(key, wake_delay > 0, time)
-                    if latency > worst:
-                        worst = latency
-            append_response(worst)
-            if probe is not None:
-                probe(RequestComplete(time, disk, worst, is_write, count))
-        self._disk_reads += disk_reads
-        return time
+                gc.enable()
 
     def _run_columnar_fast(self, times, disks, blocks_col, counts, writes):
         """Probe-free columnar loop with the cache access path inlined.
 
-        Only runs when no event hook is attached (the traced loop above
-        keeps the full event stream). Performs exactly the operations of
-        ``StorageCache.access`` + the traced loop, in the same order;
-        the plain-counter statistics are kept in locals and folded into
-        ``CacheStats`` once at the end (integer addition commutes, and
-        nothing reads the counters mid-run). The columnar/legacy
-        equivalence tests pin the results bit for bit.
+        Only runs when no event hook is attached (probe-attached runs
+        go through :meth:`handle_request`, which keeps the full event
+        stream). Performs exactly the operations of
+        ``StorageCache.access`` + :meth:`handle_request`, in the same
+        order; the plain-counter statistics are kept in locals and
+        folded into ``CacheStats`` once at the end (integer addition
+        commutes, and nothing reads the counters mid-run). The
+        columnar/legacy equivalence tests pin the results bit for bit.
         """
         cache = self.cache
         policy = self.policy
@@ -843,14 +772,13 @@ class StorageSimulator:
         skipped (the access stream IS the prepared columnar trace; each
         access's next-reference time rides along in the main ``zip``),
         untrack/track pairs are fused (one net ``+2`` stamp bump, one
-        push), the push itself is inlined once into the main loop body
-        (the ``push`` closure remains only for the gap splitter's
-        re-pushes), the chunked-container operations (timeline neighbor
-        lookup/insert, res add/discard/range-walk) are inlined against
-        per-disk hoists of the two-level ``_chunks``/``_maxes``
-        representation, and each penalty's three idle-energy evaluations
-        collapse into
-        one inline segment-table walk (the
+        push; hit and miss share the res add and the ``push`` closure
+        that the gap splitter's re-pushes also use), the
+        chunked-container operations (timeline neighbor lookup/insert,
+        res add/discard/range-walk) are inlined against per-disk hoists
+        of the two-level ``_chunks``/``_maxes`` representation, and each
+        penalty's three idle-energy evaluations collapse into one
+        inline segment-table walk (the
         :meth:`~repro.power.dpm._SegmentTable.split_penalty` arithmetic
         with the table columns hoisted into closure locals) when the
         energy function is an unoverridden ``PracticalDPM.idle_energy``
@@ -1316,20 +1244,21 @@ class StorageSimulator:
                     # the finally below)
                     nt_old = state.opg_nt
                     state.opg_nt = nt_new
-                    # res discard + add inlined (resident finite-nt
-                    # blocks are always tracked, so the discarded item
-                    # exists; nt_old is this access's own time, hence
-                    # finite — the guard mirrors _untrack's). Infinite
-                    # next times stay out of res entirely: a gap walk's
-                    # follower bound is always finite. The item is
-                    # (almost) always the res front: every live entry
-                    # is a pending future access >= now == nt_old, and
-                    # anything ordered below it is a provably-stale
-                    # leftover of a lazy eviction — purge those
-                    # wholesale, then pop the front without a bisect.
-                    rmaxes = res_maxes[disk]
-                    rchunks = res_chunks[disk]
+                    # res discard inlined; the add follows the branch
+                    # (resident finite-nt blocks are always tracked, so
+                    # the discarded item exists; nt_old is this
+                    # access's own time, hence finite — the guard
+                    # mirrors _untrack's). Infinite next times stay out
+                    # of res entirely: a gap walk's follower bound is
+                    # always finite. The item is (almost) always the
+                    # res front: every live entry is a pending future
+                    # access >= now == nt_old, and anything ordered
+                    # below it is a provably-stale leftover of a lazy
+                    # eviction — purge those wholesale, then pop the
+                    # front without a bisect.
                     if nt_old != inf:
+                        rmaxes = res_maxes[disk]
+                        rchunks = res_chunks[disk]
                         item = (nt_old, block)
                         chunk = rchunks[0]
                         while chunk[-1][0] < nt_old:
@@ -1354,23 +1283,6 @@ class StorageSimulator:
                                 del rmaxes[ci]
                             elif i == len(chunk):
                                 rmaxes[ci] = chunk[-1]
-                    if nt_new != inf:
-                        item = (nt_new, block)
-                        if not rmaxes:
-                            rchunks.append([item])
-                            rmaxes.append(item)
-                        else:
-                            ci = bisect_right(rmaxes, item)
-                            if ci == len(rmaxes):
-                                ci -= 1
-                                chunk = rchunks[ci]
-                                chunk.append(item)
-                                rmaxes[ci] = item
-                            else:
-                                chunk = rchunks[ci]
-                                insort(chunk, item)
-                            if len(chunk) > cap:
-                                res_lists[disk]._split(ci)
                     st = state.opg_stamp + 2
                     state.opg_stamp = st
                     bstate = state
@@ -1428,11 +1340,10 @@ class StorageSimulator:
                                 bucket.discard(vkey)
                     else:
                         nblocks += 1
-                    # on_insert inlined: track at this access's next
-                    # time (prepare seeded res for every traced disk;
-                    # inf next times stay out of res). A re-inserted
-                    # block resumes its stamp sequence from the dict
-                    # entry its last eviction left behind.
+                    # on_insert inlined (the res add follows the
+                    # branch): a re-inserted block resumes its stamp
+                    # sequence from the dict entry its last eviction
+                    # left behind.
                     st = stamps_get(key, 0) + 1
                     if vkey is not None and wb_exact:
                         # recycle the victim's state object: its dirty
@@ -1449,165 +1360,29 @@ class StorageSimulator:
                     else:
                         bstate = block_state(False, False, False, nt_new, st)
                     blocks[key] = bstate
-                    if nt_new != inf:
-                        rmaxes = res_maxes[disk]
-                        item = (nt_new, block)
-                        if not rmaxes:
-                            res_chunks[disk].append([item])
-                            rmaxes.append(item)
-                        else:
-                            ci = bisect_right(rmaxes, item)
-                            if ci == len(rmaxes):
-                                ci -= 1
-                                chunk = res_chunks[disk][ci]
-                                chunk.append(item)
-                                rmaxes[ci] = item
-                            else:
-                                chunk = res_chunks[disk][ci]
-                                insort(chunk, item)
-                            if len(chunk) > cap:
-                                res_lists[disk]._split(ci)
-                # -- push(disk, block, nt_new, st) inlined: hit and
-                # miss funnel through this single copy (the closure
-                # above still serves the gap-split walk), trading one
-                # closure call per access for the shared tail below --------
-                if nt_new == inf:
-                    pen = 0.0
-                else:
-                    maxes = tl_maxes[disk]
-                    ci = bisect_left(maxes, nt_new)
-                    if ci == len(maxes):
-                        leader = maxes[-1]
-                        follower = tl_end
+                # track at this access's next time, hit or miss (prepare
+                # seeded res for every traced disk; inf next times stay
+                # out of res), then the one push both paths share
+                if nt_new != inf:
+                    rmaxes = res_maxes[disk]
+                    rchunks = res_chunks[disk]
+                    item = (nt_new, block)
+                    if not rmaxes:
+                        rchunks.append([item])
+                        rmaxes.append(item)
                     else:
-                        chunk = tl_chunks[disk][ci]
-                        i = bisect_left(chunk, nt_new)
-                        follower = chunk[i]
-                        if i > 0:
-                            leader = chunk[i - 1]
-                        elif ci > 0:
-                            leader = maxes[ci - 1]
+                        ci = bisect_right(rmaxes, item)
+                        if ci == len(rmaxes):
+                            ci -= 1
+                            chunk = rchunks[ci]
+                            chunk.append(item)
+                            rmaxes[ci] = item
                         else:
-                            leader = tl_start
-                    if follower == nt_new:
-                        pen = 0.0  # coincident: disk active anyway
-                    else:
-                        lead = nt_new - leader
-                        follow = follower - nt_new
-                        if follow < 0.0:
-                            follow = 0.0
-                        if table is not None:
-                            whole = lead + follow
-                            if seg0_flat and whole <= b0:
-                                pen = (
-                                    (prefix0 + (lead - cursor0) * power0)
-                                    + (
-                                        prefix0
-                                        + (follow - cursor0) * power0
-                                    )
-                                    - (
-                                        prefix0
-                                        + (whole - cursor0) * power0
-                                    )
-                                )
-                            else:
-                                if lead <= b0:
-                                    e_l = (
-                                        prefix0 + (lead - cursor0) * power0
-                                    )
-                                    if not seg0_flat:
-                                        e_l = e_l + spin0
-                                elif lead > bN:
-                                    e_l = prefN + (lead - curN) * powN
-                                    if modeN:
-                                        e_l = e_l + spinN
-                                else:
-                                    idx = bisect_left(bounds, lead)
-                                    if idx & 1 and bounds[idx] != lead:
-                                        e_l = sh_ie[idx >> 1]
-                                    else:
-                                        j = (
-                                            (idx + 1) >> 1
-                                            if idx & 1
-                                            else idx >> 1
-                                        )
-                                        e_l = (
-                                            res_prefix[j]
-                                            + (lead - res_cursor[j])
-                                            * res_power[j]
-                                        )
-                                        if res_mode[j] != 0:
-                                            e_l = e_l + res_spin[j]
-                                if follow > bN:
-                                    e_f = prefN + (follow - curN) * powN
-                                    if modeN:
-                                        e_f = e_f + spinN
-                                elif follow <= b0:
-                                    e_f = (
-                                        prefix0
-                                        + (follow - cursor0) * power0
-                                    )
-                                    if not seg0_flat:
-                                        e_f = e_f + spin0
-                                else:
-                                    idx = bisect_left(bounds, follow)
-                                    if idx & 1 and bounds[idx] != follow:
-                                        e_f = sh_ie[idx >> 1]
-                                    else:
-                                        j = (
-                                            (idx + 1) >> 1
-                                            if idx & 1
-                                            else idx >> 1
-                                        )
-                                        e_f = (
-                                            res_prefix[j]
-                                            + (follow - res_cursor[j])
-                                            * res_power[j]
-                                        )
-                                        if res_mode[j] != 0:
-                                            e_f = e_f + res_spin[j]
-                                if whole > bN:
-                                    e_w = prefN + (whole - curN) * powN
-                                    if modeN:
-                                        e_w = e_w + spinN
-                                elif whole <= b0:
-                                    e_w = (
-                                        prefix0
-                                        + (whole - cursor0) * power0
-                                    )
-                                    if not seg0_flat:
-                                        e_w = e_w + spin0
-                                else:
-                                    idx = bisect_left(bounds, whole)
-                                    if idx & 1 and bounds[idx] != whole:
-                                        e_w = sh_ie[idx >> 1]
-                                    else:
-                                        j = (
-                                            (idx + 1) >> 1
-                                            if idx & 1
-                                            else idx >> 1
-                                        )
-                                        e_w = (
-                                            res_prefix[j]
-                                            + (whole - res_cursor[j])
-                                            * res_power[j]
-                                        )
-                                        if res_mode[j] != 0:
-                                            e_w = e_w + res_spin[j]
-                                pen = e_l + e_f - e_w
-                            if pen <= 0.0:
-                                pen = 0.0
-                        elif fast_split is not None:
-                            pen = fast_split(lead, follow)
-                        else:
-                            e_split = energy(lead) + energy(follow)
-                            e_whole = energy(lead + follow)
-                            pen = e_split - e_whole
-                            if pen < 0.0:
-                                pen = 0.0
-                if pen < theta:
-                    pen = theta
-                heappush(heap, (pen, -nt_new, st, disk, block))
+                            chunk = rchunks[ci]
+                            insort(chunk, item)
+                        if len(chunk) > cap:
+                            res_lists[disk]._split(ci)
+                push(disk, block, nt_new, st)
                 # -- write/read tails; call order is identical to the
                 # scalar engine's (victim flush first, then the
                 # access's own write or read) ------------------------------

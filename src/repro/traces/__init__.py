@@ -52,6 +52,17 @@ from repro.traces.zoo import (
     generate_tenant_trace,
 )
 
+#: The one workload table: name -> (config class, generator), every
+#: generator streaming into a :class:`ColumnarTrace`. The CLI
+#: (``generate``, ``simulate --workload``) and campaign specs
+#: (``trace.workload``) resolve workload names through it.
+WORKLOADS = {
+    "oltp": (OLTPTraceConfig, generate_oltp_trace_columnar),
+    "cello": (CelloTraceConfig, generate_cello_trace_columnar),
+    "synthetic": (SyntheticTraceConfig, generate_synthetic_trace_columnar),
+    **ZOO_WORKLOADS,
+}
+
 __all__ = [
     "CDNTraceConfig",
     "CelloTraceConfig",
@@ -69,6 +80,7 @@ __all__ = [
     "TenantTraceConfig",
     "TraceBuilder",
     "TraceCharacteristics",
+    "WORKLOADS",
     "ZOO_WORKLOADS",
     "ZipfStackModel",
     "as_columnar",

@@ -112,9 +112,12 @@ class ColumnarTrace:
     def from_csv(cls, path: str | Path) -> "ColumnarTrace":
         """Load a trace CSV (``repro generate`` format) into columns.
 
-        Builds the columns directly — no intermediate
-        :class:`IORequest` objects — and applies the same validation as
-        :func:`repro.traces.io.load_trace`.
+        The one trace-CSV parser (:func:`repro.traces.io.load_trace`
+        wraps it). Builds the columns directly — no intermediate
+        :class:`IORequest` objects — and rejects a bad header, a row
+        without five fields, an op other than ``R``/``W``, a negative
+        time/disk/block, ``nblocks < 1`` and out-of-order times, each
+        with its ``path:line``.
         """
         times: list[float] = []
         disks: list[int] = []
@@ -127,8 +130,9 @@ class ColumnarTrace:
             header = next(reader, None)
             cleaned = None
             if header is not None:
-                # Tolerate a UTF-8 BOM / stray whitespace, matching
-                # repro.traces.io._check_header.
+                # Tolerate a UTF-8 BOM / stray whitespace: files that
+                # pass through Windows editors or spreadsheet exports
+                # grow both, and they are cosmetic.
                 cleaned = [field.lstrip("\ufeff").strip() for field in header]
             if cleaned != _CSV_HEADER:
                 raise TraceError(f"{path}: bad header {header!r}")

@@ -13,26 +13,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.errors import TraceError
+from repro.traces.columnar import _CSV_HEADER, ColumnarTrace
 from repro.traces.record import IORequest, validate_trace
-
-_HEADER = ["time", "disk", "block", "nblocks", "op"]
-
-
-def _check_header(header: list[str] | None, path: str | Path) -> None:
-    """Accept the canonical header modulo a BOM and stray whitespace.
-
-    Files that pass through Windows editors or spreadsheet exports grow
-    a UTF-8 BOM on the first cell or trailing spaces after commas; both
-    are cosmetic, so normalize before comparing instead of rejecting.
-    """
-    if header is not None:
-        cleaned = [field.lstrip("\ufeff").strip() for field in header]
-        if cleaned == _HEADER:
-            return
-    raise TraceError(f"{path}: bad header {header!r}")
 
 
 def save_trace(trace: Sequence[IORequest], path: str | Path) -> None:
@@ -40,7 +24,7 @@ def save_trace(trace: Sequence[IORequest], path: str | Path) -> None:
     validate_trace(trace)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_HEADER)
+        writer.writerow(_CSV_HEADER)
         for req in trace:
             writer.writerow(
                 [
@@ -54,47 +38,12 @@ def save_trace(trace: Sequence[IORequest], path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> list[IORequest]:
-    """Read a trace written by :func:`save_trace`.
+    """Read a trace written by :func:`save_trace` as request objects.
+
+    Parsing and validation are :meth:`ColumnarTrace.from_csv`'s; load
+    the columns directly when no caller needs the objects.
 
     Raises:
         TraceError: On malformed headers, rows, or time ordering.
     """
-    trace: list[IORequest] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), path)
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(_HEADER):
-                raise TraceError(f"{path}:{line_no}: expected 5 fields")
-            try:
-                op = row[4].strip().upper()
-                if op not in ("R", "W"):
-                    raise ValueError(f"bad op {row[4]!r}")
-                trace.append(
-                    IORequest(
-                        time=float(row[0]),
-                        disk=int(row[1]),
-                        block=int(row[2]),
-                        nblocks=int(row[3]),
-                        is_write=(op == "W"),
-                    )
-                )
-            except (ValueError, TraceError) as exc:
-                raise TraceError(f"{path}:{line_no}: {exc}") from exc
-    validate_trace(trace)
-    return trace
-
-
-def iter_trace(path: str | Path) -> Iterable[IORequest]:
-    """Stream a trace file without materializing it."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), path)
-        for row in reader:
-            yield IORequest(
-                time=float(row[0]),
-                disk=int(row[1]),
-                block=int(row[2]),
-                nblocks=int(row[3]),
-                is_write=(row[4].strip().upper() == "W"),
-            )
+    return ColumnarTrace.from_csv(path).to_requests()

@@ -25,7 +25,8 @@ memory is the finished columns — never a boxed request list.
   classification has the most to harvest.
 
 All generators are deterministic given their config's ``seed`` and are
-registered in :data:`ZOO_WORKLOADS` for the CLI and campaign specs.
+registered in :data:`ZOO_WORKLOADS`, which :data:`repro.traces.WORKLOADS`
+extends for the CLI and campaign specs.
 """
 
 from __future__ import annotations
@@ -363,8 +364,8 @@ def generate_tenant_trace(
 
 
 #: Workload-family registry: name -> (config class, streaming generator).
-#: The CLI ``generate``/``simulate --workload`` choices and the campaign
-#: spec ``trace.workload`` names resolve through this table.
+#: :data:`repro.traces.WORKLOADS` merges it with the paper's three
+#: workloads.
 ZOO_WORKLOADS = {
     "dbms": (DBMSTraceConfig, generate_dbms_trace),
     "cdn": (CDNTraceConfig, generate_cdn_trace),

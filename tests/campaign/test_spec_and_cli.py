@@ -192,6 +192,74 @@ class TestColumnarGenerators:
         assert (key, digest) == self.PINNED[family, mode]
 
 
+class TestFileTrace:
+    """File-trace campaigns load the CSV as a ``ColumnarTrace``.
+
+    The pins were recorded while the file still loaded as a
+    ``list[IORequest]`` and ran row by row through ``handle_request``;
+    the pa-lru pin equals the generated oltp one above, since the store
+    keys a fixed trace by its fingerprint.
+    """
+
+    PINNED = {
+        "pa-lru": (
+            "94e36e866a23f02d31b498168c6f38d68c1d183ffaa65610f4979318056dcfeb",
+            "a0a0be35a4e6ae2976f6029e651a34d3bec3b95ef8e6bd7d7b9dc3329c3dca7b",
+        ),
+        "opg": (
+            "cc9e57d10a671f5a2802bf2bb668127e9a848d23ec5fff79e7de25ecf56885bb",
+            "6eaa012a077ac5394d90bfd195d4231566c2dce7eb11f27c0f2de5af7cc97157",
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_keys_and_digests_unchanged(
+        self, workers, tmp_path, monkeypatch
+    ):
+        from repro.traces.io import save_trace
+        from repro.traces.oltp import (
+            OLTPTraceConfig,
+            generate_oltp_trace_columnar,
+        )
+
+        monkeypatch.setattr(
+            campaign_store, "code_version_salt", lambda: "pinned-salt"
+        )
+        config = OLTPTraceConfig(
+            duration_s=60.0, num_disks=6, num_hot_disks=3, seed=3
+        )
+        save_trace(generate_oltp_trace_columnar(config), tmp_path / "t.csv")
+        spec = CampaignSpec.from_dict(
+            {
+                "trace": {"file": "t.csv"},
+                "axes": {"policy": sorted(self.PINNED)},
+                "num_disks": 6,
+                "cache_blocks": 64,
+            },
+            base_dir=tmp_path,
+        )
+        assert isinstance(spec.load_workload(), ColumnarTrace)
+
+        store = campaign_store.ResultStore(tmp_path / "store")
+        with RunJournal(tmp_path / "j.jsonl") as journal:
+            sweep = run_campaign(
+                spec, workers=workers, store=store, journal=journal
+            )
+        keys = {
+            e["params"]["policy"]: e["key"]
+            for e in load_journal(tmp_path / "j.jsonl")
+            if e["event"] == "point"
+        }
+        pinned = {}
+        for point in sweep.points:
+            policy = point.params["policy"]
+            digest = hashlib.sha256(
+                json.dumps(point.result.to_dict(), sort_keys=True).encode()
+            ).hexdigest()
+            pinned[policy] = (keys[policy], digest)
+        assert pinned == self.PINNED
+
+
 class TestWorkloadAxis:
     """A 'trace.workload' list becomes an implicit workload axis."""
 

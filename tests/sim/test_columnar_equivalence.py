@@ -1,17 +1,19 @@
-"""Columnar fast path vs legacy request loop: bit-identical results.
+"""Columnar fast loops vs the ``handle_request`` reference: bit-identical.
 
-The engine's columnar loop (and the fused ``submit_quick`` /
-``account_idle`` paths beneath it) must reproduce the legacy
-object-per-request loop exactly — not approximately. These tests run
-the three golden configurations through both representations and
-compare the fully serialized results, so any float that drifts by one
-ulp fails the suite.
+The engine's columnar loops (generic, fused PA-LRU, fused OPG, and the
+``submit_quick`` / ``account_idle`` paths beneath them) must reproduce
+the object-per-request reference exactly — not approximately. A list
+trace, like a probe-attached run, goes row by row through
+``handle_request``. These tests run the golden policies through both
+and compare the fully serialized results, so any float that drifts by
+one ulp fails the suite.
 """
 
 import json
 
 import pytest
 
+from repro.errors import TraceError
 from repro.sim.runner import run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import (
@@ -19,6 +21,7 @@ from repro.traces.synthetic import (
     generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
+from repro.traces.zoo import CDNTraceConfig, generate_cdn_trace
 
 TRACE_CONFIG = SyntheticTraceConfig(
     num_requests=4000, num_disks=5, seed=97, write_ratio=0.25
@@ -54,22 +57,41 @@ def test_golden_config_byte_identical(traces, name):
     assert _serialized(legacy, **kwargs) == _serialized(columnar, **kwargs)
 
 
-@pytest.mark.parametrize("dpm", ["always_on", "oracle", "practical", "adaptive"])
-def test_dpm_schemes_byte_identical(traces, dpm):
-    legacy, columnar = traces
-    assert _serialized(legacy, policy="lru", dpm=dpm) == _serialized(
-        columnar, policy="lru", dpm=dpm
-    )
+def _policy_cases(values):
+    """``(golden run, value)`` pairs for every golden policy.
+
+    The ``lru`` cases keep the bare value as their id, as they had
+    before the other policies joined the parametrization.
+    """
+    return [
+        pytest.param(
+            name, value, id=value if name == "lru" else f"{name}-{value}"
+        )
+        for name in sorted(GOLDEN_RUNS)
+        for value in values
+    ]
 
 
 @pytest.mark.parametrize(
-    "write_policy", ["write-back", "write-through", "wbeu"]
+    "name, dpm",
+    _policy_cases(["always_on", "oracle", "practical", "adaptive"]),
 )
-def test_write_policies_byte_identical(traces, write_policy):
+def test_dpm_schemes_byte_identical(traces, name, dpm):
     legacy, columnar = traces
-    assert _serialized(
-        legacy, policy="lru", write_policy=write_policy
-    ) == _serialized(columnar, policy="lru", write_policy=write_policy)
+    kwargs = {**GOLDEN_RUNS[name], "dpm": dpm}
+    assert _serialized(legacy, **kwargs) == _serialized(columnar, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, write_policy",
+    _policy_cases(
+        ["write-back", "write-through", "wbeu", "periodic-flush", "wtdu"]
+    ),
+)
+def test_write_policies_byte_identical(traces, name, write_policy):
+    legacy, columnar = traces
+    kwargs = {**GOLDEN_RUNS[name], "write_policy": write_policy}
+    assert _serialized(legacy, **kwargs) == _serialized(columnar, **kwargs)
 
 
 def test_from_requests_matches_generator(traces):
@@ -83,15 +105,45 @@ def test_from_requests_matches_generator(traces):
 
 
 def test_traced_columnar_loop_matches_fast_loop(traces):
-    """With an event probe attached the columnar engine takes the traced
-    loop; the simulated numbers must not depend on which loop ran."""
+    """With an event probe attached, a columnar trace runs row by row
+    through ``handle_request``; the simulated numbers must not depend
+    on which loop ran. Covers the generic, fused PA-LRU and fused OPG
+    loops, and the generic loop's multi-block branch on a CDN trace."""
     _, columnar = traces
-    with_probe = _serialized(columnar, policy="lru", trace_events=True)
-    without = _serialized(columnar, policy="lru")
-    a = json.loads(with_probe)
-    b = json.loads(without)
-    # the probe adds its own summary section; the simulated numbers
-    # must be unaffected by which loop ran
-    a.pop("trace_metrics", None)
-    b.pop("trace_metrics", None)
-    assert a == b
+    cdn = generate_cdn_trace(
+        CDNTraceConfig(duration_s=12.0, num_disks=5, write_ratio=0.2, seed=11)
+    )
+    assert int(cdn.nblocks.max()) > 1
+    cases = [(name, columnar, kwargs) for name, kwargs in GOLDEN_RUNS.items()]
+    cases.append(("cdn-lru", cdn, {"policy": "lru"}))
+    for name, trace, kwargs in cases:
+        a = json.loads(_serialized(trace, trace_events=True, **kwargs))
+        b = json.loads(_serialized(trace, **kwargs))
+        # the probe adds its own summary section
+        assert a.pop("trace_metrics") is not None
+        b.pop("trace_metrics", None)
+        assert a == b, name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_disordered_columnar_trace_rejected_before_any_request(name):
+    """The fast loops and the probe-attached reference reject a
+    disordered columnar trace with the same error, before any request
+    is simulated."""
+    trace = ColumnarTrace(
+        [0.0, 1.0, 3.0, 2.0, 4.0], [0, 1, 0, 1, 0], [1, 2, 3, 4, 5],
+        [1] * 5, [False, True, False, False, True],
+    )
+    kwargs = {**COMMON_KWARGS, **GOLDEN_RUNS[name]}
+    policy = kwargs.pop("policy")
+    events = []
+    messages = []
+    for probe in (None, events.append):
+        with pytest.raises(TraceError) as excinfo:
+            run_simulation(trace, policy, probe=probe, **kwargs)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == (
+        "trace not time-ordered at t=2.0 (< 3.0)"
+    )
+    # rejected before the run starts: not even SimulationStart went out
+    assert events == []

@@ -128,6 +128,35 @@ class TestSimulate:
         assert code == 0
         assert "energy=" in capsys.readouterr().out
 
+    #: Recorded while ``--workload`` oltp still generated a list trace,
+    #: which ran row by row through ``handle_request``.
+    OLTP_SUMMARIES = {
+        "lru": (
+            "lru [practical DPM]: energy=119.2 kJ (disks 119.2, log 0.0); "
+            "hit ratio=40.2% (cold 58.8%); mean response=352.85 ms "
+            "(p95 2183.88 ms); spinups=451; disk I/O=2792R/350W"
+        ),
+        "pa-lru": (
+            "pa-lru [practical DPM]: energy=119.2 kJ (disks 119.2, log 0.0); "
+            "hit ratio=40.2% (cold 58.8%); mean response=352.85 ms "
+            "(p95 2183.88 ms); spinups=451; disk I/O=2792R/350W"
+        ),
+        "opg": (
+            "opg [practical DPM]: energy=115.5 kJ (disks 115.5, log 0.0); "
+            "hit ratio=41.2% (cold 58.8%); mean response=373.11 ms "
+            "(p95 2184.06 ms); spinups=448; disk I/O=2740R/307W"
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(OLTP_SUMMARIES))
+    def test_oltp_workload_summary_unchanged(self, policy, capsys):
+        code = main(
+            ["simulate", "--workload", "oltp", "--seed", "1",
+             "--duration", "600", "-p", policy]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == self.OLTP_SUMMARIES[policy] + "\n"
+
     def test_trace_and_workload_are_exclusive(self, trace_file, capsys):
         code = main(
             ["simulate", trace_file, "--workload", "dbms", "-p", "lru"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.traces.io import iter_trace, load_trace, save_trace
+from repro.traces.io import load_trace, save_trace
 from repro.traces.record import IORequest
 from repro.traces.stats import characterize
 
@@ -18,11 +18,6 @@ class TestTraceIO:
         path = tmp_path / "trace.csv"
         save_trace(tiny_trace, path)
         assert load_trace(path) == tiny_trace
-
-    def test_iter_matches_load(self, tmp_path, tiny_trace):
-        path = tmp_path / "trace.csv"
-        save_trace(tiny_trace, path)
-        assert list(iter_trace(path)) == tiny_trace
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -66,7 +61,6 @@ class TestHeaderNormalization:
         bommed = tmp_path / "bom.csv"
         bommed.write_text("\ufeff" + path.read_text())
         assert load_trace(bommed) == tiny_trace
-        assert list(iter_trace(bommed)) == tiny_trace
 
     def test_bom_header_accepted_columnar(self, tmp_path, tiny_trace):
         from repro.traces.columnar import ColumnarTrace
