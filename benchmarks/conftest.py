@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -30,14 +30,16 @@ OLTP_CACHE_BLOCKS = 2048
 CELLO_CACHE_BLOCKS = 4096
 
 
+# Columnar traces, so the figure runs take the engine's fast loops; the
+# rendered results are byte-identical to the row-by-row reference.
 @pytest.fixture(scope="session")
 def oltp_trace():
-    return generate_oltp_trace(OLTPTraceConfig())
+    return generate_oltp_trace_columnar(OLTPTraceConfig())
 
 
 @pytest.fixture(scope="session")
 def cello_trace():
-    return generate_cello_trace(CelloTraceConfig())
+    return generate_cello_trace_columnar(CelloTraceConfig())
 
 
 @pytest.fixture(scope="session")

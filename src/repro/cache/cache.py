@@ -15,6 +15,14 @@ from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError, SimulationError
 from repro.observe.events import CacheHit, CacheMiss, Evict, Insert
+from repro.snapshot import (
+    load_state,
+    pack_ints,
+    pack_keys,
+    state_of,
+    unpack_ints,
+    unpack_keys,
+)
 
 
 @dataclass(slots=True)
@@ -88,6 +96,51 @@ class StorageCache:
     @property
     def pinned_count(self) -> int:
         return self._pinned
+
+    # -- snapshots (see repro.snapshot) -----------------------------------------
+
+    def state_dict(self) -> dict:
+        """Statistics plus the resident blocks, in insertion order, with
+        their state flags (bit 0 dirty, bit 1 logged, bit 2 prefetched).
+        The per-disk dirty index and the pinned count are derived from
+        the flags on load. The policy is snapshotted by its owner."""
+        blocks = self._blocks
+        return {
+            "stats": state_of(self.stats),
+            "blocks": pack_keys(blocks),
+            "flags": pack_ints(
+                s.dirty | s.logged << 1 | s.prefetched << 2
+                for s in blocks.values()
+            ),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        keys = unpack_keys(state["blocks"])
+        flags = unpack_ints(state["flags"])
+        if len(flags) != len(keys):
+            raise ValueError(f"{len(keys)} blocks but {len(flags)} flags")
+        if self.capacity is not None and len(keys) > self.capacity:
+            raise ConfigurationError(
+                f"the snapshot holds {len(keys)} resident blocks, more than "
+                f"the {self.capacity}-block cache the parameters build"
+            )
+        load_state(self.stats, state["stats"])
+        blocks: dict[BlockKey, BlockState] = {}
+        dirty_by_disk: dict[int, set[BlockKey]] = {}
+        pinned = 0
+        for key, bits in zip(keys, flags):
+            block = BlockState(
+                dirty=bool(bits & 1),
+                logged=bool(bits & 2),
+                prefetched=bool(bits & 4),
+            )
+            blocks[key] = block
+            if block.dirty or block.logged:
+                dirty_by_disk.setdefault(disk_of(key), set()).add(key)
+            pinned += block.logged
+        self._blocks = blocks
+        self._dirty_by_disk = dirty_by_disk
+        self._pinned = pinned
 
     # -- the access path -----------------------------------------------------
 

@@ -18,6 +18,7 @@ from collections import OrderedDict
 from repro.cache.block import BlockKey
 from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import ConfigurationError, PolicyError
+from repro.snapshot import pack_keys, unpack_keys
 
 
 class ARCPolicy(ReplacementPolicy):
@@ -117,3 +118,22 @@ class ARCPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._t1) + len(self._t2)
+
+    def state_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "t1": pack_keys(self._t1),
+            "t2": pack_keys(self._t2),
+            "b1": pack_keys(self._b1),
+            "b2": pack_keys(self._b2),
+            "insert_to_t2": self._insert_to_t2,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        lists = [
+            OrderedDict.fromkeys(unpack_keys(state[name]))
+            for name in ("t1", "t2", "b1", "b2")
+        ]
+        self.p = float(state["p"])
+        self._insert_to_t2 = bool(state["insert_to_t2"])
+        self._t1, self._t2, self._b1, self._b2 = lists

@@ -7,6 +7,7 @@ from collections import OrderedDict
 from repro.cache.block import BlockKey
 from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import PolicyError
+from repro.snapshot import pack_ints, pack_keys, unpack_ints, unpack_keys
 
 
 class ClockPolicy(ReplacementPolicy):
@@ -45,3 +46,17 @@ class ClockPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._ring)
+
+    def state_dict(self) -> dict:
+        """The ring from the hand onwards, with each reference bit."""
+        return {
+            "ring": pack_keys(self._ring),
+            "referenced": pack_ints(self._ring.values()),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        keys = unpack_keys(state["ring"])
+        bits = unpack_ints(state["referenced"])
+        if len(bits) != len(keys):
+            raise ValueError(f"{len(keys)} ring slots but {len(bits)} bits")
+        self._ring = OrderedDict(zip(keys, map(bool, bits)))

@@ -7,6 +7,7 @@ from collections import OrderedDict
 from repro.cache.block import BlockKey
 from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import PolicyError
+from repro.snapshot import pack_keys, unpack_keys
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -36,3 +37,9 @@ class FIFOPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._queue)
+
+    def state_dict(self) -> dict:
+        return {"queue": pack_keys(self._queue)}
+
+    def load_state_dict(self, state: dict) -> None:
+        self._queue = OrderedDict.fromkeys(unpack_keys(state["queue"]))

@@ -27,6 +27,7 @@ from enum import Enum, auto
 from repro.cache.block import BlockKey
 from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import ConfigurationError, PolicyError
+from repro.snapshot import pack_ints, pack_keys, unpack_ints, unpack_keys
 
 
 class _Kind(Enum):
@@ -245,3 +246,50 @@ class LIRSPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return self._resident
+
+    def state_dict(self) -> dict:
+        """Every tracked block's kind, the stack with its push stamps,
+        the resident HIR queue, and the ghost heap as the exact list it
+        is (heap order is not unique, so it is not rebuilt)."""
+        heap = self._ghost_heap
+        return {
+            "kinds": pack_keys(self._kind),
+            "kind_values": pack_ints(k.value for k in self._kind.values()),
+            "stack": pack_keys(self._stack),
+            "stack_stamps": pack_ints(self._stack.values()),
+            "queue": pack_keys(self._queue),
+            "ghost_heap": pack_keys(key for _, key in heap),
+            "ghost_heap_stamps": pack_ints(stamp for stamp, _ in heap),
+            "lir_count": self._lir_count,
+            "resident": self._resident,
+            "ghosts": self._ghosts,
+            "stamp": self._stamp,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        columns = {}
+        for keys, values in (
+            ("kinds", "kind_values"),
+            ("stack", "stack_stamps"),
+            ("ghost_heap", "ghost_heap_stamps"),
+        ):
+            columns[keys] = unpack_keys(state[keys])
+            columns[values] = unpack_ints(state[values])
+            if len(columns[values]) != len(columns[keys]):
+                raise ValueError(f"{keys}: keys and values differ in length")
+        queue = OrderedDict.fromkeys(unpack_keys(state["queue"]))
+        counters = [
+            int(state[name])
+            for name in ("lir_count", "resident", "ghosts", "stamp")
+        ]
+        self._kind = dict(
+            zip(columns["kinds"], map(_Kind, columns["kind_values"]))
+        )
+        self._stack = OrderedDict(
+            zip(columns["stack"], columns["stack_stamps"])
+        )
+        self._queue = queue
+        self._ghost_heap = list(
+            zip(columns["ghost_heap_stamps"], columns["ghost_heap"])
+        )
+        self._lir_count, self._resident, self._ghosts, self._stamp = counters

@@ -7,6 +7,7 @@ from collections import OrderedDict
 from repro.cache.block import BlockKey
 from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import PolicyError
+from repro.snapshot import pack_keys, unpack_keys
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -40,3 +41,9 @@ class LRUPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._stack)
+
+    def state_dict(self) -> dict:
+        return {"stack": pack_keys(self._stack)}
+
+    def load_state_dict(self, state: dict) -> None:
+        self._stack = OrderedDict.fromkeys(unpack_keys(state["stack"]))

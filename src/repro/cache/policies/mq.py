@@ -20,6 +20,13 @@ from dataclasses import dataclass
 from repro.cache.block import BlockKey
 from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import ConfigurationError, PolicyError
+from repro.snapshot import (
+    expect_length,
+    pack_ints,
+    pack_keys,
+    unpack_ints,
+    unpack_keys,
+)
 
 
 @dataclass(slots=True)
@@ -135,3 +142,46 @@ class MQPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return self._size
+
+    def state_dict(self) -> dict:
+        """Queue order, each entry's (frequency, expire, queue), the
+        ``q_out`` ghost with its remembered frequencies, and the
+        logical clock."""
+        entries = self._entries
+        return {
+            "queues": [pack_keys(queue) for queue in self._queues],
+            "entries": pack_keys(entries),
+            "entry_fields": pack_ints(
+                field
+                for e in entries.values()
+                for field in (e.frequency, e.expire, e.queue)
+            ),
+            "qout": pack_keys(self._qout),
+            "qout_frequency": pack_ints(self._qout.values()),
+            "now": self._now,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        queues = [
+            OrderedDict.fromkeys(unpack_keys(text)) for text in state["queues"]
+        ]
+        expect_length("MQ queues", queues, self.m)
+        keys = unpack_keys(state["entries"])
+        fields = unpack_ints(state["entry_fields"])
+        if len(fields) != 3 * len(keys):
+            raise ValueError(f"{len(keys)} entries but {len(fields)} fields")
+        entries = {
+            key: _Entry(*fields[3 * i : 3 * i + 3])
+            for i, key in enumerate(keys)
+        }
+        qout_keys = unpack_keys(state["qout"])
+        qout_freq = unpack_ints(state["qout_frequency"])
+        if len(qout_freq) != len(qout_keys):
+            raise ValueError(
+                f"{len(qout_keys)} ghosts but {len(qout_freq)} frequencies"
+            )
+        self._now = int(state["now"])
+        self._queues = queues
+        self._entries = entries
+        self._qout = OrderedDict(zip(qout_keys, qout_freq))
+        self._size = len(entries)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.snapshot import pack_keys, unpack_keys
 
 
 @dataclass(slots=True)
@@ -40,6 +42,19 @@ class CacheStats:
             self.cold_misses += 1
             self._seen.add(key)
 
+    def state_dict(self) -> dict:
+        """The counters plus every block ever seen (sorted, so equal
+        states snapshot to equal bytes)."""
+        state = {name: getattr(self, name) for name in _COUNTERS}
+        state["seen"] = pack_keys(sorted(self._seen))
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        counters = {name: int(state[name]) for name in _COUNTERS}
+        self._seen = set(unpack_keys(state["seen"]))
+        for name, value in counters.items():
+            setattr(self, name, value)
+
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
@@ -52,3 +67,7 @@ class CacheStats:
     def cold_miss_fraction(self) -> float:
         """Cold misses as a fraction of all accesses (Section 5.2 stat)."""
         return self.cold_misses / self.accesses if self.accesses else 0.0
+
+
+#: The integer fields of :class:`CacheStats` (every field but ``_seen``).
+_COUNTERS = tuple(f.name for f in fields(CacheStats) if f.name != "_seen")

@@ -84,6 +84,14 @@ class WritePolicy(ABC):
         """Blocks whose latest data has not reached their home disk."""
         return 0
 
+    def state_dict(self) -> dict:
+        """Mutable fields only (see :mod:`repro.snapshot`); a subclass
+        that adds state must extend both snapshot methods."""
+        return {"disk_writes": self.disk_writes}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.disk_writes = int(state["disk_writes"])
+
     def _write_to_disk(self, key: BlockKey, time: float) -> float:
         """Issue the physical write; returns its response time."""
         if self.cache is None or self.array is None:

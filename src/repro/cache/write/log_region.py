@@ -23,6 +23,15 @@ from dataclasses import dataclass
 from repro.cache.block import BlockKey
 from repro.errors import ConfigurationError, RecoveryError
 from repro.observe.events import LogAppend, LogFlush
+from repro.snapshot import (
+    expect_length,
+    load_state,
+    pack_ints,
+    pack_keys,
+    state_of,
+    unpack_ints,
+    unpack_keys,
+)
 
 
 @dataclass
@@ -70,6 +79,39 @@ class LogRegion:
         """The disk's cached copies were written home: retire the epoch."""
         self.timestamp += 1
         self._free = 0  # old slots stay, logically dead
+
+    def state_dict(self) -> dict:
+        """The timestamp, the free pointer, and the written slots.
+
+        Appends fill slots from 0 and never clear them, so the written
+        slots are a prefix; dead slots past the free pointer are kept
+        too, since they are part of the modelled on-disk layout."""
+        written = [slot for slot in self._slots if slot is not None]
+        return {
+            "timestamp": self.timestamp,
+            "free": self._free,
+            "slot_keys": pack_keys(slot.key for slot in written),
+            "slot_stamps": pack_ints(slot.stamp for slot in written),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        keys = unpack_keys(state["slot_keys"])
+        stamps = unpack_ints(state["slot_stamps"])
+        free = int(state["free"])
+        if len(stamps) != len(keys):
+            raise ValueError(f"{len(keys)} slots but {len(stamps)} stamps")
+        if not free <= len(keys) <= self.capacity:
+            raise ValueError(
+                f"{len(keys)} written slots and free pointer {free} do not "
+                f"fit a {self.capacity}-slot region"
+            )
+        slots: list[_Slot | None] = [
+            _Slot(key=key, stamp=stamp) for key, stamp in zip(keys, stamps)
+        ]
+        slots.extend([None] * (self.capacity - len(slots)))
+        self.timestamp = int(state["timestamp"])
+        self._free = free
+        self._slots = slots
 
     def recover(self) -> list[BlockKey]:
         """Replay set after a crash: blocks whose stamp matches the
@@ -135,6 +177,21 @@ class LogDevice:
         self.regions[disk_id].flush()
         if self.probe is not None:
             self.probe(LogFlush(time, disk_id, retired))
+
+    def state_dict(self) -> dict:
+        return {
+            "regions": [state_of(region) for region in self.regions],
+            "appends": self.appends,
+            "energy_j": self.energy_j,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        regions = list(state["regions"])
+        expect_length("log regions", regions, len(self.regions))
+        for region, region_state in zip(self.regions, regions):
+            load_state(region, region_state)
+        self.appends = int(state["appends"])
+        self.energy_j = float(state["energy_j"])
 
     def recover_all(self) -> dict[int, list[BlockKey]]:
         """Crash recovery across every region (disk_id -> replay set)."""

@@ -68,6 +68,19 @@ class PeriodicFlushPolicy(WritePolicy):
     def after_read_wake(self, disk_id: int, time: float, woke: bool) -> None:
         self._maybe_flush(time)
 
+    def state_dict(self) -> dict:
+        return {
+            **super().state_dict(),
+            "next_flush": self._next_flush,
+            "flush_sweeps": self.flush_sweeps,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        next_flush = state["next_flush"]
+        self._next_flush = None if next_flush is None else float(next_flush)
+        self.flush_sweeps = int(state["flush_sweeps"])
+
     def pending_dirty(self) -> int:
         self._require_attached()
         return sum(

@@ -66,6 +66,18 @@ class WBEUPolicy(WritePolicy):
             self._write_to_disk(key, time)
             self.cache.mark_clean(key)
 
+    def state_dict(self) -> dict:
+        return {
+            **super().state_dict(),
+            "forced_flushes": self.forced_flushes,
+            "eager_flushes": self.eager_flushes,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self.forced_flushes = int(state["forced_flushes"])
+        self.eager_flushes = int(state["eager_flushes"])
+
     def pending_dirty(self) -> int:
         self._require_attached()
         return sum(

@@ -18,6 +18,7 @@ from repro.cache.block import BlockKey
 from repro.cache.write.base import WritePolicy
 from repro.cache.write.log_region import LogDevice
 from repro.errors import ConfigurationError
+from repro.snapshot import load_state, state_of
 
 
 class WTDUPolicy(WritePolicy):
@@ -117,6 +118,20 @@ class WTDUPolicy(WritePolicy):
         return sum(
             self.cache.dirty_count(d.disk_id) for d in self.array.disks
         )
+
+    def state_dict(self) -> dict:
+        return {
+            **super().state_dict(),
+            "deferred_writes": self.deferred_writes,
+            "forced_flushes": self.forced_flushes,
+            "log": state_of(self.log),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self.deferred_writes = int(state["deferred_writes"])
+        self.forced_flushes = int(state["forced_flushes"])
+        load_state(self.log, state["log"])
 
     @property
     def extra_energy_j(self) -> float:

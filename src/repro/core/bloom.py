@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.snapshot import expect_length, pack_words, unpack_words
 
 _MASK64 = (1 << 64) - 1
 # splitmix64-style multipliers — fixed, so results are reproducible.
@@ -92,6 +93,15 @@ class BloomFilter:
         if not present:
             self._count += 1
         return present
+
+    def state_dict(self) -> dict:
+        return {"words": pack_words(self._words), "count": self._count}
+
+    def load_state_dict(self, state: dict) -> None:
+        words = unpack_words(state["words"])
+        expect_length("Bloom filter words", words, len(self._words))
+        self._count = int(state["count"])
+        self._words = words
 
     @property
     def approximate_population(self) -> int:

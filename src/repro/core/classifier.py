@@ -26,6 +26,7 @@ from repro.core.bloom import BloomFilter
 from repro.core.histogram import IntervalHistogram
 from repro.errors import ConfigurationError
 from repro.observe.events import DiskReclassified, EpochRollover
+from repro.snapshot import expect_length, load_state, state_of
 from repro.units import MINUTE
 
 
@@ -154,6 +155,57 @@ class DiskClassifier:
                     self.probe(
                         DiskReclassified(time, disk_id, old.name, new.name)
                     )
+
+    # -- snapshots (see repro.snapshot) -----------------------------------------
+
+    def state_dict(self) -> dict:
+        """The Bloom filter, each disk's epoch tallies and histogram,
+        the cross-epoch last-access times, the classes, and the epoch
+        clock."""
+        stats = self._stats
+        return {
+            "bloom": state_of(self._bloom),
+            "misses": [s.misses for s in stats],
+            "cold_misses": [s.cold_misses for s in stats],
+            "histograms": [state_of(s.histogram) for s in stats],
+            "last_disk_access": list(self._last_disk_access),
+            "classes": [c.value for c in self._classes],
+            "epoch_end": self._epoch_end,
+            "epochs_completed": self.epochs_completed,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        n = self.num_disks
+        per_disk = {
+            name: list(state[name])
+            for name in (
+                "misses",
+                "cold_misses",
+                "histograms",
+                "last_disk_access",
+                "classes",
+            )
+        }
+        for name, values in per_disk.items():
+            expect_length(f"disks of classifier {name}", values, n)
+        load_state(self._bloom, state["bloom"])
+        for disk_stats, misses, cold, histogram in zip(
+            self._stats,
+            per_disk["misses"],
+            per_disk["cold_misses"],
+            per_disk["histograms"],
+        ):
+            disk_stats.misses = int(misses)
+            disk_stats.cold_misses = int(cold)
+            load_state(disk_stats.histogram, histogram)
+        self._last_disk_access = [
+            None if t is None else float(t)
+            for t in per_disk["last_disk_access"]
+        ]
+        self._classes = [DiskClass(value) for value in per_disk["classes"]]
+        epoch_end = state["epoch_end"]
+        self._epoch_end = None if epoch_end is None else float(epoch_end)
+        self.epochs_completed = int(state["epochs_completed"])
 
     def classify(self, disk_id: int) -> DiskClass:
         """Current class of ``disk_id`` (as of the last epoch boundary)."""

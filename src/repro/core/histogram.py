@@ -21,6 +21,7 @@ import math
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.snapshot import expect_length
 
 
 def default_bin_edges(
@@ -118,6 +119,15 @@ class IntervalHistogram:
         """Clear all counts (start of a new epoch)."""
         self.counts = [0] * (len(self.edges) + 1)
         self.total = 0
+
+    def state_dict(self) -> dict:
+        return {"counts": list(self.counts), "total": self.total}
+
+    def load_state_dict(self, state: dict) -> None:
+        counts = [int(c) for c in state["counts"]]
+        expect_length("histogram bins", counts, len(self.edges) + 1)
+        self.total = int(state["total"])
+        self.counts = counts
 
     def mean(self) -> float:
         """Approximate mean interval using bin upper edges.

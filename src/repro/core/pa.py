@@ -22,6 +22,14 @@ from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.lru import LRUPolicy
 from repro.core.classifier import DiskClass, DiskClassifier
 from repro.errors import PolicyError
+from repro.snapshot import (
+    load_state,
+    pack_ints,
+    pack_keys,
+    state_of,
+    unpack_ints,
+    unpack_keys,
+)
 
 PolicyFactory = Callable[[], ReplacementPolicy]
 
@@ -108,6 +116,31 @@ class PowerAwarePolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._regular) + len(self._priority)
+
+    def state_dict(self) -> dict:
+        """The classifier, both sub-policies, and each block's home
+        side (1 = priority)."""
+        priority = self._priority
+        return {
+            "classifier": state_of(self.classifier),
+            "regular": state_of(self._regular),
+            "priority": state_of(priority),
+            "home": pack_keys(self._home),
+            "home_priority": pack_ints(
+                side is priority for side in self._home.values()
+            ),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        keys = unpack_keys(state["home"])
+        sides = unpack_ints(state["home_priority"])
+        if len(sides) != len(keys):
+            raise ValueError(f"{len(keys)} blocks but {len(sides)} sides")
+        load_state(self.classifier, state["classifier"])
+        load_state(self._regular, state["regular"])
+        load_state(self._priority, state["priority"])
+        homes = (self._regular, self._priority)
+        self._home = {key: homes[side] for key, side in zip(keys, sides)}
 
 
 def make_pa_lru(

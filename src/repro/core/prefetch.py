@@ -100,3 +100,9 @@ class SequentialWakePrefetcher(Prefetcher):
             plan.append(candidate_key)
         self.planned_blocks += len(plan)
         return plan
+
+    def state_dict(self) -> dict:
+        return {"planned_blocks": self.planned_blocks}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.planned_blocks = int(state["planned_blocks"])

@@ -16,6 +16,7 @@ from repro.power.accounting import EnergyAccount
 from repro.power.dpm import DiskPowerManager
 from repro.power.modes import PowerModel
 from repro.power.specs import DiskSpec, build_power_model
+from repro.snapshot import expect_length, load_state, state_of
 from repro.units import DEFAULT_BLOCK_SIZE
 
 #: Signature of the factory that builds one DPM instance per disk.
@@ -110,6 +111,17 @@ class DiskArray:
         """Close out trailing idle gaps on every disk."""
         for disk in self._disks:
             disk.finalize(end_time)
+
+    # -- snapshots (see repro.snapshot) -------------------------------------------
+
+    def state_dict(self) -> dict:
+        return {"disks": [state_of(disk) for disk in self._disks]}
+
+    def load_state_dict(self, state: dict) -> None:
+        disks = list(state["disks"])
+        expect_length("disks", disks, len(self._disks))
+        for disk, disk_state in zip(self._disks, disks):
+            load_state(disk, disk_state)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from repro.power.accounting import EnergyAccount
 from repro.power.dpm import DiskPowerManager, IdleOutcome
 from repro.power.modes import PowerModel
 from repro.power.specs import DiskSpec
+from repro.snapshot import load_state, state_of
 from repro.units import DEFAULT_BLOCK_SIZE, TIME_EPS
 
 
@@ -140,6 +141,31 @@ class SimulatedDisk:
     @property
     def request_count(self) -> int:
         return self._arrivals
+
+    # -- snapshots (see repro.snapshot) -------------------------------------
+
+    def state_dict(self) -> dict:
+        return {
+            "account": state_of(self.account),
+            "dpm": state_of(self.dpm),
+            "busy_until": self._busy_until,
+            "cylinder": self._cylinder,
+            "last_arrival": self._last_arrival,
+            "interarrival_sum": self._interarrival_sum,
+            "arrivals": self._arrivals,
+            "finalized": self._finalized,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        load_state(self.account, state["account"])
+        load_state(self.dpm, state["dpm"])
+        last = state["last_arrival"]
+        self._busy_until = float(state["busy_until"])
+        self._cylinder = int(state["cylinder"])
+        self._last_arrival = None if last is None else float(last)
+        self._interarrival_sum = float(state["interarrival_sum"])
+        self._arrivals = int(state["arrivals"])
+        self._finalized = bool(state["finalized"])
 
     # -- operation ----------------------------------------------------------
 

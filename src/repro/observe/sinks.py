@@ -40,6 +40,7 @@ from repro.observe.events import (
     RequestComplete,
     StateDwell,
 )
+from repro.snapshot import expect_length, load_state, state_of
 
 
 class P2Quantile:
@@ -115,6 +116,28 @@ class P2Quantile:
     def count(self) -> int:
         return self._n
 
+    def state_dict(self) -> dict:
+        """The five markers (heights, positions, desired positions) and
+        the observation count; ``q`` and the increments are parameters."""
+        return {
+            "heights": list(self._heights),
+            "positions": list(self._positions),
+            "desired": list(self._desired),
+            "n": self._n,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        n = int(state["n"])
+        heights = [float(h) for h in state["heights"]]
+        positions = [float(p) for p in state["positions"]]
+        desired = [float(d) for d in state["desired"]]
+        if len(heights) != min(n, 5) or not len(positions) == len(desired) == 5:
+            raise ValueError("P2 markers do not match the observation count")
+        self._n = n
+        self._heights = heights
+        self._positions = positions
+        self._desired = desired
+
     def value(self) -> float:
         """Current estimate (0.0 before any observation)."""
         if self._n == 0:
@@ -124,6 +147,27 @@ class P2Quantile:
             rank = max(0, min(self._n - 1, round(self.q * (self._n - 1))))
             return self._heights[rank]
         return self._heights[2]
+
+
+#: :class:`MetricsSink` scalar fields, in snapshot order.
+_SCALARS = (
+    "spinups",
+    "spindowns",
+    "hits",
+    "misses",
+    "evictions",
+    "dirty_flushes",
+    "requests",
+    "latency_sum_s",
+    "epochs",
+    "ingest_accepted",
+    "ingest_rejected",
+    "last_queue_depth",
+    "energy_sum_j",
+)
+
+#: :class:`MetricsSink` per-disk maps (JSON object keys are strings).
+_DISK_MAPS = ("disk_energy_j", "disk_dwell_s", "disk_account_energy_j")
 
 
 class RingBufferSink(EventSink):
@@ -264,6 +308,39 @@ class MetricsSink(EventSink):
             self.epochs += 1
         elif isinstance(event, Insert):
             pass  # counted via `counts` only
+
+    # -- snapshots (see repro.snapshot) -----------------------------------------
+
+    def state_dict(self) -> dict:
+        """Every counter, the per-disk maps (insertion order kept: the
+        energy total sums them in that order) and the P² markers, so a
+        restored serve daemon's ``/metrics`` continues where the
+        checkpointed one stood."""
+        state = {name: getattr(self, name) for name in _SCALARS}
+        state["counts"] = dict(self.counts)
+        for name in _DISK_MAPS:
+            state[name] = {str(d): v for d, v in getattr(self, name).items()}
+        state["latency_q"] = [
+            state_of(self._latency_q[q]) for q in self.QUANTILES
+        ]
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        scalars = {
+            name: type(getattr(self, name))(state[name]) for name in _SCALARS
+        }
+        counts = Counter({str(k): int(v) for k, v in state["counts"].items()})
+        disk_maps = {
+            name: {int(d): float(v) for d, v in state[name].items()}
+            for name in _DISK_MAPS
+        }
+        quantiles = list(state["latency_q"])
+        expect_length("latency estimators", quantiles, len(self.QUANTILES))
+        for q, q_state in zip(self.QUANTILES, quantiles):
+            load_state(self._latency_q[q], q_state)
+        for name, value in {**scalars, **disk_maps}.items():
+            setattr(self, name, value)
+        self.counts = counts
 
     @property
     def total_energy_j(self) -> float:

@@ -8,7 +8,7 @@ percentage-of-time breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.power.dpm import IdleOutcome
 
@@ -148,6 +148,21 @@ class EnergyAccount:
             service_energy_j=data["service_energy_j"],
             requests=data["requests"],
         )
+
+    def state_dict(self) -> dict:
+        return self.to_dict()
+
+    def load_state_dict(self, state: dict) -> None:
+        loaded = {
+            f.name: (
+                {int(m): float(v) for m, v in state[f.name].items()}
+                if f.name.startswith("mode_")
+                else type(getattr(self, f.name))(state[f.name])
+            )
+            for f in fields(self)
+        }
+        for name, value in loaded.items():
+            setattr(self, name, value)
 
     def merge(self, other: "EnergyAccount") -> None:
         """Fold another account into this one (array-level totals)."""

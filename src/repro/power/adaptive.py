@@ -73,13 +73,26 @@ class AdaptiveThresholdDPM(PracticalDPM):
         )
         if new_scale == self.scale:
             return
-        self.scale = new_scale
+        self._apply_scale(new_scale)
+        self.adaptations += 1
+
+    def _apply_scale(self, scale: float) -> None:
+        self.scale = scale
         self.thresholds = [
             (t * self.scale, mode) for t, mode in self._base_thresholds
         ]
         self._steps = self._build_schedule(self.thresholds)
         self._refresh_tables()
-        self.adaptations += 1
+
+    def state_dict(self) -> dict:
+        """The threshold scale (the ladder rebuilds from it)."""
+        return {"scale": self.scale, "adaptations": self.adaptations}
+
+    def load_state_dict(self, state: dict) -> None:
+        scale = float(state["scale"])
+        if scale != self.scale:
+            self._apply_scale(scale)
+        self.adaptations = int(state["adaptations"])
 
     def process_idle(self, duration: float, wake: bool = True) -> IdleOutcome:
         outcome = super().process_idle(duration, wake=wake)

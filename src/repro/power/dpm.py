@@ -106,6 +106,15 @@ class DiskPowerManager(ABC):
         account.add_idle(outcome)
         return outcome.wake_delay_s
 
+    def state_dict(self) -> dict:
+        """Mutable fields only (see :mod:`repro.snapshot`). The built-in
+        schemes keep none — their memo tables rebuild from the model —
+        so a scheme that adapts must override both snapshot methods."""
+        return {}
+
+    def load_state_dict(self, state: dict) -> None:
+        pass
+
     @abstractmethod
     def mode_after_idle(self, elapsed: float) -> int:
         """Mode the disk occupies after being idle for ``elapsed`` seconds.

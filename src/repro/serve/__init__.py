@@ -10,7 +10,7 @@ wall time. Modules:
 - :mod:`repro.serve.ingest` — bounded queue + explicit backpressure
 - :mod:`repro.serve.daemon` — the asyncio server and drain lifecycle
 - :mod:`repro.serve.metrics` — ``/metrics`` text exposition
-- :mod:`repro.serve.checkpoint` — atomic checkpoint files (replay-based)
+- :mod:`repro.serve.checkpoint` — atomic state-snapshot checkpoint files
 - :mod:`repro.serve.loadgen` — synthetic asyncio users
 - :mod:`repro.serve.smoke` — the end-to-end smoke harness CI runs
 """

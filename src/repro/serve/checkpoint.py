@@ -1,26 +1,31 @@
 """Checkpoint files: persist and restore live sessions.
 
-The on-disk format mirrors the replay-based
-:class:`~repro.sim.session.SessionCheckpoint`: a single JSON document
+The on-disk format is the state-snapshot
+:class:`~repro.sim.session.SessionCheckpoint` as a single JSON document
 
 .. code-block:: json
 
     {
       "format": "repro-serve-checkpoint",
-      "version": 1,
+      "version": 2,
       "params": {"policy": "pa-lru", "...": "..."},
-      "watermark": 1234.5,
-      "served": 10000,
-      "requests": [[time, disk, block, nblocks, is_write], ...]
+      "state": {"type": "SimulationSession", "served": 10000,
+                "watermark": 1234.5, "simulator": {"...": "..."}},
+      "metrics": {"...": "..."}
     }
 
 written atomically (temp file + rename, the
 :class:`~repro.campaign.store.ResultStore` discipline) so a crash
-mid-checkpoint never leaves a truncated file behind. Restore rebuilds
-the session from ``params`` and replays ``requests`` — the simulator
-is deterministic, so the restored daemon's continuation is
-bit-identical to one that never stopped (enforced by the property
-test and the serve-smoke CI job).
+mid-checkpoint never leaves a truncated file behind. ``state`` holds
+each component's ``state_dict()`` (:mod:`repro.snapshot`); ``metrics``
+is the daemon's ``/metrics`` sink, or ``null`` for a checkpoint written
+outside a daemon. Restore rebuilds the session from ``params`` and
+loads ``state`` into it without replaying a request, and the restored
+daemon's continuation is bit-identical to one that never stopped
+(enforced by the property test and the serve-smoke CI job).
+
+Version 1 files carried the whole request log for a replay; they are
+refused with an error that names the version.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.errors import ServeError
 from repro.sim.session import SessionCheckpoint
 
 FORMAT_NAME = "repro-serve-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Checkpoint files are named ``checkpoint-<served>.json``.
 FILE_PREFIX = "checkpoint-"
@@ -51,7 +56,7 @@ def save_checkpoint(checkpoint: SessionCheckpoint, path: str | Path) -> Path:
     }
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as fh:
-        json.dump(document, fh, separators=(",", ":"))
+        fh.write(json.dumps(document, separators=(",", ":")))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -71,15 +76,24 @@ def load_checkpoint(path: str | Path) -> SessionCheckpoint:
         raise ServeError(f"no checkpoint at {path}") from None
     except json.JSONDecodeError as exc:
         raise ServeError(f"corrupt checkpoint {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        document = {}
     if document.get("format") != FORMAT_NAME:
         raise ServeError(
             f"{path} is not a serve checkpoint "
             f"(format={document.get('format')!r})"
         )
-    if document.get("version") != FORMAT_VERSION:
+    version = document.get("version")
+    if version == 1:
+        raise ServeError(
+            f"{path} is a version 1 checkpoint (a request log to replay), "
+            "which this build cannot restore; checkpoints are now "
+            f"version {FORMAT_VERSION} state snapshots"
+        )
+    if version != FORMAT_VERSION:
         raise ServeError(
             f"{path} has unsupported checkpoint version "
-            f"{document.get('version')!r} (expected {FORMAT_VERSION})"
+            f"{version!r} (expected {FORMAT_VERSION})"
         )
     try:
         return SessionCheckpoint.from_dict(document)

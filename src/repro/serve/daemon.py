@@ -38,10 +38,10 @@ import json
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 from repro.observe.bus import EventBus
 from repro.observe.events import (
     CheckpointTaken,
@@ -66,6 +66,8 @@ from repro.serve.protocol import (
     parse_request_line,
 )
 from repro.sim.runner import build_session, restore_session
+from repro.sim.session import SimulationSession
+from repro.snapshot import load_state, state_of
 
 #: Advised backoff while draining (the daemon is going away; clients
 #: should fail over rather than hammer the retry loop).
@@ -105,12 +107,13 @@ class ServeDaemon:
         self.bus = EventBus()
         self.metrics = MetricsSink()
         self.bus.attach(self.metrics)
+        #: Requests restored from a checkpoint (the name predates state
+        #: snapshots, when a restore replayed them).
         self.replayed = 0
         if config.restore_path is not None:
-            cp = load_checkpoint(config.restore_path)
-            self.session = restore_session(cp, probe=self.bus)
-            self.replayed = cp.served
-            base = max(cp.watermark, self.session.now)
+            self.session = self._restore(config.restore_path)
+            self.replayed = self.session.served
+            base = self.session.now
         else:
             self.session = build_session(
                 probe=self.bus,
@@ -132,6 +135,20 @@ class ServeDaemon:
         self._drain_task: asyncio.Task | None = None
         self.result = None
         self.exit_code = 0
+
+    def _restore(self, path: str) -> SimulationSession:
+        """Rebuild the checkpointed session and, when the checkpoint
+        carries it, the ``/metrics`` sink; any mismatch is a
+        :class:`ServeError` naming the file, raised before a listener
+        opens."""
+        cp = load_checkpoint(path)
+        try:
+            session = restore_session(cp, probe=self.bus)
+            if cp.metrics is not None:
+                load_state(self.metrics, cp.metrics)
+        except ReproError as exc:
+            raise ServeError(f"cannot restore {path}: {exc}") from exc
+        return session
 
     # -- lifecycle --------------------------------------------------------
 
@@ -349,7 +366,7 @@ class ServeDaemon:
     # -- checkpointing ----------------------------------------------------
 
     def _take_checkpoint(self) -> Path:
-        cp = self.session.checkpoint()
+        cp = replace(self.session.checkpoint(), metrics=state_of(self.metrics))
         path = checkpoint_path(self.config.checkpoint_dir, cp.served)
         save_checkpoint(cp, path)
         self._last_checkpoint_served = cp.served

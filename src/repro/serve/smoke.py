@@ -12,7 +12,10 @@ real daemon subprocess on loopback:
 2. **Restore**: boot a second daemon from the phase-1 checkpoint, push
    the *same* explicit-time tail, drain, and assert its ``FINAL``
    result digest is bit-identical to phase 1's — the restored daemon
-   continued exactly where the original would have gone.
+   continued exactly where the original would have gone. Then boot a
+   third daemon from the second one's drain checkpoint, send it
+   nothing, drain, and assert the same digest again: a snapshot
+   written by a restored daemon restores too.
 3. **Backpressure**: boot a daemon with a tiny ingest queue and an
    artificial feed delay, overdrive it, and assert the overload was
    handled by explicit ``RETRY`` (clients saw rejections, every
@@ -34,6 +37,7 @@ import sys
 import urllib.request
 from pathlib import Path
 
+from repro.serve.checkpoint import latest_checkpoint
 from repro.serve.loadgen import LoadConfig, run_load
 
 #: Explicit-time tails sit far above any wall-derived stamp.
@@ -179,7 +183,10 @@ def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
     )
     print(f"phase 1 ok: served={final['served']} digest={final['digest']}")
 
-    restored = Daemon(["--restore", cp_doc["path"]])
+    restored_dir = checkpoint_dir / "restored"
+    restored = Daemon(
+        ["--restore", cp_doc["path"], "--checkpoint-dir", str(restored_dir)]
+    )
     try:
         check(
             restored.ready["replayed"] == requests,
@@ -199,6 +206,24 @@ def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
         f"{final2['digest']} != {final['digest']}",
     )
     print(f"phase 2 ok: restored digest matches ({final2['digest'][:16]}…)")
+
+    drained = latest_checkpoint(restored_dir)
+    check(drained is not None, "restored daemon wrote no drain checkpoint")
+    chained = Daemon(["--restore", str(drained)])
+    try:
+        check(
+            chained.ready["replayed"] == requests + 500,
+            f"chained restore replayed {chained.ready['replayed']}",
+        )
+        final3 = chained.drain()
+    finally:
+        chained.kill()
+    check(
+        final3["digest"] == final["digest"],
+        "chained restore diverged: "
+        f"{final3['digest']} != {final['digest']}",
+    )
+    print(f"phase 2 ok: chained restore digest matches ({drained.name})")
 
 
 def phase_backpressure() -> None:

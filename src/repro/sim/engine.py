@@ -52,6 +52,7 @@ from repro.observe.events import RequestComplete, SimulationStart
 from repro.power.specs import build_power_model
 from repro.sim.config import SimulationConfig
 from repro.sim.results import DiskReport, ResponseStats, SimulationResult
+from repro.snapshot import load_state, pack_floats, state_of, unpack_floats
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest, iter_accesses
 
@@ -1526,6 +1527,51 @@ class StorageSimulator:
         """Wind the disks down to ``end_time`` and build the report."""
         self.array.finalize(end_time)
         return self._build_result(self._responses, self._disk_reads, end_time)
+
+    def state_dict(self) -> dict:
+        """Snapshot every stateful component (see :mod:`repro.snapshot`).
+
+        The per-request response samples are the one term that grows
+        with the requests served: a finished session's result must equal
+        the batch run's, exact percentiles included.
+        """
+        if self.fault_injector is not None:
+            raise ConfigurationError(
+                "a session with a fault plan cannot be checkpointed: the "
+                "plan is not among the rebuild parameters"
+            )
+        return {
+            "cache": state_of(self.cache),
+            "policy": state_of(self.policy),
+            "write_policy": state_of(self.write_policy),
+            "array": state_of(self.array),
+            "prefetcher": (
+                None if self.prefetcher is None else state_of(self.prefetcher)
+            ),
+            "responses": pack_floats(self._responses),
+            "disk_reads": self._disk_reads,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Load :meth:`state_dict` output into a freshly built simulator
+        whose components were built from the same parameters."""
+        if (state["prefetcher"] is None) != (self.prefetcher is None):
+            raise ConfigurationError(
+                "the snapshot's prefetcher does not match the parameters"
+            )
+        load_state(self.cache, state["cache"])
+        load_state(self.policy, state["policy"])
+        load_state(self.write_policy, state["write_policy"])
+        load_state(self.array, state["array"])
+        if self.prefetcher is not None:
+            load_state(self.prefetcher, state["prefetcher"])
+        if len(self.policy) != len(self.cache):
+            raise ConfigurationError(
+                f"the snapshot's policy tracks {len(self.policy)} blocks "
+                f"but its cache holds {len(self.cache)}"
+            )
+        self._responses = unpack_floats(state["responses"])
+        self._disk_reads = int(state["disk_reads"])
 
     def _prefetch(self, key, woke: bool, time: float) -> None:
         """Ride a demand read's disk activation with sequential blocks.

@@ -53,11 +53,8 @@ from repro.power.specs import build_power_model
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import StorageSimulator
 from repro.sim.results import SimulationResult
-from repro.sim.session import (
-    SessionCheckpoint,
-    SimulationSession,
-    replay_checkpoint,
-)
+from repro.sim.session import SessionCheckpoint, SimulationSession
+from repro.snapshot import load_state
 from repro.traces.record import IORequest
 
 POLICY_NAMES = (
@@ -313,7 +310,7 @@ def build_session(
     serve`` daemon, the checkpoint tests) pass no trace and ``feed()``
     stamped batches. When ``config`` is ``None`` the by-name parameters
     are kept as the session's rebuild recipe, making it checkpointable
-    (with ``record_requests=True``).
+    (with ``record_requests=True``, which records nothing but opts in).
     """
     if policy.lower() == "infinite":
         cache_blocks = None
@@ -380,12 +377,26 @@ def build_session(
 def restore_session(
     checkpoint: SessionCheckpoint, *, probe=None
 ) -> SimulationSession:
-    """Rebuild a checkpointed session by replaying its request prefix.
+    """Rebuild a checkpointed session from its parameters and snapshot.
 
-    The restored session has served exactly the checkpointed requests;
-    feeding it the remaining stream continues bit-identically to a
-    session that was never checkpointed (the property test in
-    ``tests/sim/test_session.py`` spreads restore points across whole
-    traces to prove it).
+    No request is replayed: the session is built fresh and its state is
+    loaded. The restored session reports the checkpointed request count
+    as served, and feeding it the remaining stream continues
+    bit-identically to a session that was never checkpointed (the
+    property test in ``tests/sim/test_session.py`` spreads restore
+    points across whole traces to prove it).
+
+    Raises:
+        ConfigurationError: If the parameters cannot build a session or
+            the snapshot does not match what they build.
     """
-    return replay_checkpoint(checkpoint, build_session, probe=probe)
+    try:
+        session = build_session(
+            probe=probe, record_requests=True, **checkpoint.params
+        )
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"checkpoint parameters do not build a session: {exc}"
+        ) from exc
+    load_state(session, checkpoint.state)
+    return session

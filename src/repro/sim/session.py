@@ -11,16 +11,17 @@ tests in ``tests/sim/test_session.py`` pin the two drive styles —
 ``feed()`` request by request versus the batch fast path — to
 bit-identical results.
 
-Checkpointing is **replay-based**, the same ground truth the crash
-harness (:mod:`repro.faults.harness`) relies on: the simulator is a
-deterministic function of (parameters, request sequence), so a
-checkpoint is the rebuild parameters plus the exact stamped requests
-fed so far. Restoring replays that prefix through a fresh session,
-after which the restored session is state-identical to the original —
-continuing it with the same requests yields bit-identical results.
-This trades restore time for zero serialization coupling: no policy,
-cache, or DPM internals ever need to be pickled, and every future
-policy is checkpointable by construction.
+Checkpoints are **state snapshots**: the rebuild parameters plus the
+``state_dict()`` of every stateful component (:mod:`repro.snapshot`).
+Restoring rebuilds the session from the parameters and loads the
+snapshot into it, replaying no requests: a restore costs a JSON parse,
+not a re-simulation of the served history. The restored session is
+state-identical to the original: continuing it with the same requests
+yields bit-identical results (``tests/sim/test_session.py`` checks
+this at spread restore points for every online policy, write policy
+and DPM). The per-request response samples are the one snapshot term
+that grows with every request; they stay so that a finished session's
+result equals the batch run's, exact percentiles included.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.cache.policies.base import OfflinePolicy
 from repro.errors import ConfigurationError, SimulationError, TraceError
 from repro.sim.engine import StorageSimulator
 from repro.sim.results import SimulationResult
+from repro.snapshot import load_state, state_of
 from repro.traces.record import IORequest
 
 
@@ -40,47 +42,37 @@ class SessionCheckpoint:
     """Everything needed to rebuild a session at a request boundary.
 
     ``params`` are the :func:`~repro.sim.runner.build_session` keyword
-    arguments; ``requests`` is the full stamped request prefix fed
-    before the checkpoint; ``watermark`` is the simulated-time floor
-    the session had advanced to.
+    arguments; ``state`` is :meth:`SimulationSession.state_dict` at the
+    checkpoint. ``metrics`` optionally carries the state of a host's
+    :class:`~repro.observe.sinks.MetricsSink` (the serve daemon stores
+    its ``/metrics`` counters there), so observability survives a
+    restore too.
     """
 
     params: dict
-    requests: tuple[IORequest, ...]
-    watermark: float
+    state: dict
+    metrics: dict | None = None
 
     @property
     def served(self) -> int:
-        return len(self.requests)
+        return int(self.state["served"])
 
     def to_dict(self) -> dict:
         """JSON-safe form (the serve layer's checkpoint file body)."""
         return {
             "params": dict(self.params),
-            "watermark": self.watermark,
-            "served": self.served,
-            "requests": [
-                [r.time, r.disk, r.block, r.nblocks, int(r.is_write)]
-                for r in self.requests
-            ],
+            "state": self.state,
+            "metrics": self.metrics,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionCheckpoint":
-        return cls(
-            params=dict(data["params"]),
-            watermark=float(data["watermark"]),
-            requests=tuple(
-                IORequest(
-                    time=float(t),
-                    disk=int(disk),
-                    block=int(block),
-                    nblocks=int(nblocks),
-                    is_write=bool(is_write),
-                )
-                for t, disk, block, nblocks, is_write in data["requests"]
-            ),
-        )
+        state, metrics = data["state"], data.get("metrics")
+        if not isinstance(state, dict):
+            raise TypeError("the checkpoint state must be an object")
+        if metrics is not None and not isinstance(metrics, dict):
+            raise TypeError("the checkpoint metrics must be an object")
+        return cls(params=dict(data["params"]), state=state, metrics=metrics)
 
 
 class SimulationSession:
@@ -94,9 +86,8 @@ class SimulationSession:
         rebuild_params: The :func:`~repro.sim.runner.build_session`
             keyword arguments that produced ``simulator``; required for
             :meth:`checkpoint` (a checkpoint must be able to rebuild).
-        record_requests: Keep every fed request in memory so
-            :meth:`checkpoint` can emit the replay prefix. Costs one
-            tuple per request; leave off for plain batch runs.
+        record_requests: Opt in to :meth:`checkpoint`. The name is kept
+            from the request-log checkpoints; nothing is recorded.
     """
 
     def __init__(
@@ -109,7 +100,6 @@ class SimulationSession:
         self.simulator = simulator
         self.rebuild_params = rebuild_params
         self.record_requests = record_requests
-        self._log: list[IORequest] = []
         self._watermark = 0.0
         self._last_request_time = 0.0
         self._served = 0
@@ -153,7 +143,6 @@ class SimulationSession:
                 "use run_batch() or an online policy"
             )
         handle = self.simulator.handle_request
-        record = self._log.append if self.record_requests else None
         watermark = self._watermark
         responses: list[float] = []
         for req in batch:
@@ -164,8 +153,6 @@ class SimulationSession:
                 )
             watermark = req.time
             responses.append(handle(req))
-            if record is not None:
-                record(req)
         self._served += len(responses)
         if responses:
             self._last_request_time = watermark
@@ -189,12 +176,19 @@ class SimulationSession:
         self._watermark = time_s
 
     def checkpoint(self) -> SessionCheckpoint:
-        """Snapshot the session at the current request boundary."""
+        """Snapshot the session at the current request boundary.
+
+        Raises:
+            ConfigurationError: If the session cannot be rebuilt from
+                its parameters, or holds a component with no snapshot
+                (a fault plan, an offline policy); no partial
+                checkpoint is ever returned.
+        """
         self._check_open()
         if not self.record_requests:
             raise ConfigurationError(
                 "checkpointing needs record_requests=True at session "
-                "construction (the checkpoint is a replay prefix)"
+                "construction"
             )
         if self.rebuild_params is None:
             raise ConfigurationError(
@@ -203,10 +197,32 @@ class SimulationSession:
                 "checkpoints must be able to rebuild the session"
             )
         return SessionCheckpoint(
-            params=dict(self.rebuild_params),
-            requests=tuple(self._log),
-            watermark=self._watermark,
+            params=dict(self.rebuild_params), state=state_of(self)
         )
+
+    def state_dict(self) -> dict:
+        """The simulator's snapshot plus the session's own counters."""
+        return {
+            "simulator": state_of(self.simulator),
+            "watermark": self._watermark,
+            "served": self._served,
+            "last_request_time": self._last_request_time,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Load a :meth:`state_dict` into a fresh, unfed session built
+        from the same parameters (through :func:`repro.snapshot.
+        load_state`, which reports a mismatch or a malformed component
+        as :class:`~repro.errors.ConfigurationError`). A session whose
+        load failed is unusable and must be discarded.
+        """
+        self._check_open()
+        if self._served:
+            raise SimulationError("load_state_dict() on a fed session")
+        load_state(self.simulator, state["simulator"])
+        self._watermark = float(state["watermark"])
+        self._served = int(state["served"])
+        self._last_request_time = float(state["last_request_time"])
 
     # -- completion -------------------------------------------------------
 
@@ -251,32 +267,6 @@ class SimulationSession:
     def _check_open(self) -> None:
         if self._finalized:
             raise SimulationError("session already finalized")
-
-
-def replay_checkpoint(
-    checkpoint: SessionCheckpoint,
-    build,
-    *,
-    probe=None,
-) -> SimulationSession:
-    """Rebuild a session from a checkpoint by replaying its prefix.
-
-    ``build`` is the session factory (normally
-    :func:`repro.sim.runner.build_session`; injected to keep this
-    module import-light). The returned session has served exactly the
-    checkpointed requests and carries the checkpointed watermark, so
-    feeding it the post-checkpoint request stream continues
-    bit-identically to the uninterrupted run.
-    """
-    params = dict(checkpoint.params)
-    session: SimulationSession = build(
-        probe=probe, record_requests=True, **params
-    )
-    if checkpoint.requests:
-        session.feed(checkpoint.requests)
-    if checkpoint.watermark > session.now:
-        session.advance_to(checkpoint.watermark)
-    return session
 
 
 def ordered_batches(

@@ -310,6 +310,54 @@ class TestHttpSurface:
         continued = run(restored())
         assert result_digest(continued) == result_digest(uninterrupted)
 
+    def test_metrics_continue_across_a_restore(self, tmp_path):
+        trace = small_trace(90)
+        head, tail = trace[:60], trace[60:]
+        session = {**SESSION, "policy": "pa-lru", "write_policy": "wtdu"}
+
+        def series(text):
+            gauges = ("repro_sim_time", "repro_served", "repro_replayed",
+                      "repro_queue", "repro_draining", "repro_time_dilation",
+                      "repro_uptime")
+            return {
+                name: float(value)
+                for name, value in (
+                    line.rsplit(" ", 1)
+                    for line in text.splitlines()
+                    if not line.startswith("#")
+                )
+                if not name.startswith(gauges)
+            }
+
+        async def serve(restore_path=None):
+            if restore_path is None:
+                daemon = await start_daemon(
+                    checkpoint_dir=str(tmp_path), session_params=session
+                )
+                await tcp_exchange(daemon.tcp_port, req_lines(head))
+                await self._http(daemon.http_port, "POST", "/checkpoint")
+            else:
+                daemon = await start_daemon(restore_path=restore_path)
+            await tcp_exchange(daemon.tcp_port, req_lines(tail))
+            _, metrics = await self._http(daemon.http_port, "GET", "/metrics")
+            await drain(daemon)
+            return series(metrics)
+
+        uninterrupted = run(serve())
+        restored = run(serve(str(checkpoint_path(tmp_path, 60))))
+        assert restored["repro_requests_total"] == 90
+        for name in (
+            "repro_cache_hits_total",
+            "repro_cache_misses_total",
+            "repro_cache_evictions_total",
+            "repro_disk_spinups_total",
+            "repro_energy_joules_total",
+            'repro_request_latency_seconds{quantile="0.95"}',
+            'repro_disk_energy_joules{disk="0"}',
+        ):
+            assert name in restored
+        assert restored == uninterrupted
+
     def test_checkpoint_endpoint_without_dir_is_a_conflict(self):
         async def scenario():
             daemon = await start_daemon()

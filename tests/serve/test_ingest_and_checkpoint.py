@@ -1,7 +1,9 @@
 """The bounded ingest queue and the checkpoint file format."""
 
 import asyncio
+import io
 import json
+import re
 
 import pytest
 
@@ -17,7 +19,8 @@ from repro.serve.ingest import (
     MIN_RETRY_AFTER_S,
     IngestQueue,
 )
-from repro.sim.session import SessionCheckpoint
+from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.sim import build_session
 from repro.traces.record import IORequest
 
 
@@ -77,16 +80,23 @@ class TestIngestQueue:
             IngestQueue(0)
 
 
-def _checkpoint(served=3):
-    return SessionCheckpoint(
-        params={"policy": "lru", "num_disks": 2, "cache_blocks": 64},
-        requests=tuple(
-            IORequest(time=float(i), disk=0, block=i, nblocks=1,
-                      is_write=bool(i % 2))
+def _checkpoint(served=3, **overrides):
+    """A real session's checkpoint after ``served`` requests."""
+    params = {"policy": "lru", "num_disks": 2, "cache_blocks": 64, **overrides}
+    session = build_session(record_requests=True, **params)
+    session.feed(
+        [
+            IORequest(time=float(i), disk=i % params["num_disks"], block=i,
+                      nblocks=1, is_write=bool(i % 2))
             for i in range(served)
-        ),
-        watermark=float(served),
+        ]
     )
+    return session.checkpoint()
+
+
+def _restore(path):
+    """Boot a daemon from ``path`` (restore runs before any listener)."""
+    return ServeDaemon(ServeConfig(restore_path=str(path)), out=io.StringIO())
 
 
 class TestCheckpointFiles:
@@ -120,6 +130,76 @@ class TestCheckpointFiles:
         vers.write_text(json.dumps(doc))
         with pytest.raises(ServeError, match="version"):
             load_checkpoint(vers)
+
+    def test_version_1_request_log_is_refused_by_name(self, tmp_path):
+        old = tmp_path / "v1.json"
+        old.write_text(
+            json.dumps(
+                {
+                    "format": "repro-serve-checkpoint",
+                    "version": 1,
+                    "params": {"policy": "lru", "num_disks": 2,
+                               "cache_blocks": 64},
+                    "watermark": 1.0,
+                    "served": 1,
+                    "requests": [[1.0, 0, 1, 1, 0]],
+                }
+            )
+        )
+        with pytest.raises(ServeError, match="version 1") as info:
+            _restore(old)
+        assert str(old) in str(info.value)
+
+    def _doctored(self, tmp_path, edit, **overrides):
+        """A checkpoint file whose document ``edit`` has tampered with."""
+        path = save_checkpoint(_checkpoint(40, **overrides), tmp_path / "cp.json")
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+        return path
+
+    def _refused(self, path, reason):
+        with pytest.raises(ServeError, match=re.escape(str(path))) as info:
+            _restore(path)
+        assert reason in str(info.value)
+        assert not isinstance(info.value.__cause__, KeyError)
+
+    def test_state_for_fewer_disks_than_params_is_refused(self, tmp_path):
+        def more_disks(document):
+            document["params"]["num_disks"] = 4
+
+        path = self._doctored(tmp_path, more_disks, num_disks=3)
+        self._refused(path, "3 disks where the session parameters build 4")
+
+    def test_policy_state_of_another_policy_is_refused(self, tmp_path):
+        def plain_lru(document):
+            document["params"]["policy"] = "lru"
+
+        path = self._doctored(tmp_path, plain_lru, policy="pa-lru")
+        self._refused(path, "PowerAwarePolicy state where the session "
+                            "parameters build a LRUPolicy")
+
+    def test_missing_component_is_refused(self, tmp_path):
+        def drop_write_policy(document):
+            del document["state"]["simulator"]["write_policy"]
+
+        path = self._doctored(tmp_path, drop_write_policy)
+        self._refused(path, "missing 'write_policy'")
+
+    def test_corrupt_column_is_refused(self, tmp_path):
+        def truncate_blocks(document):
+            cache = document["state"]["simulator"]["cache"]
+            cache["blocks"] = cache["blocks"][:-4]
+
+        path = self._doctored(tmp_path, truncate_blocks)
+        self._refused(path, "malformed StorageCache state")
+
+    def test_malformed_metrics_are_refused(self, tmp_path):
+        def bad_metrics(document):
+            document["metrics"] = {"type": "MetricsSink", "hits": 1}
+
+        path = self._doctored(tmp_path, bad_metrics)
+        self._refused(path, "malformed MetricsSink state")
 
     def test_latest_checkpoint_orders_by_served(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None

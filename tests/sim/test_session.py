@@ -6,8 +6,9 @@ The load-bearing guarantees:
   result **bit-identical** to the batch path (``run_simulation``),
   which itself is pinned to the pre-refactor numbers by the golden
   fixture — so the batch → session re-expression changed nothing;
-* restoring a checkpoint taken at *any* request boundary and replaying
-  the remaining stream is bit-identical to the uninterrupted run (the
+* restoring a state-snapshot checkpoint taken at *any* request
+  boundary and feeding the remaining stream is bit-identical to the
+  uninterrupted run, for every online policy × write policy × DPM (the
   property the serve daemon's checkpoint/restore relies on).
 """
 
@@ -16,10 +17,22 @@ import json
 import pytest
 
 from repro import run_simulation
+from repro.cache.policies.base import OfflinePolicy
+from repro.cache.policies.lru import LRUPolicy
 from repro.errors import ConfigurationError, SimulationError, TraceError
-from repro.sim import build_session, restore_session
-from repro.sim.session import SessionCheckpoint, ordered_batches
+from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import spread_crash_points
+from repro.serve.checkpoint import load_checkpoint, save_checkpoint
+from repro.sim import (
+    POLICY_NAMES,
+    WRITE_POLICY_NAMES,
+    SimulationConfig,
+    StorageSimulator,
+    build_policy,
+    build_session,
+    restore_session,
+)
+from repro.sim.session import ordered_batches
 from repro.traces.record import IORequest
 
 from tests.integration.golden_spec import (
@@ -93,52 +106,196 @@ class TestFeedMatchesBatch:
             session.feed(golden_trace[:2])
 
 
+def _online_policies():
+    """Every policy name a live session can be fed (offline ones, which
+    need the whole trace, are excluded by type, not by name)."""
+    config = SimulationConfig(num_disks=5, cache_capacity_blocks=64)
+    return tuple(
+        name
+        for name in POLICY_NAMES
+        if not isinstance(build_policy(name, config), OfflinePolicy)
+    )
+
+
+#: The snapshot matrix: under heavy cache pressure (64 blocks against
+#: ~260 distinct blocks) and short PA epochs, so ghosts, pins, log
+#: regions and epoch rollovers all carry state across each restore.
+MATRIX_KWARGS = {"num_disks": 5, "cache_blocks": 64, "pa_epoch_s": 60.0}
+MATRIX_DPMS = ("practical", "oracle", "always_on")
+
+
+def _restore_everywhere(trace, tmp_path, cuts=5, **params):
+    """Checkpoint at ``cuts`` spread points, restore each through a
+    checkpoint file, and compare every continuation with an
+    uninterrupted run."""
+    unbroken = build_session(**params)
+    unbroken.feed(trace)
+    expected = _result_doc(unbroken.finalize())
+
+    session = build_session(record_requests=True, **params)
+    paths, fed = {}, 0
+    for cut in spread_crash_points(len(trace), count=cuts):
+        session.feed(trace[fed:cut])
+        fed = cut
+        paths[cut] = save_checkpoint(
+            session.checkpoint(), tmp_path / f"cp-{cut}.json"
+        )
+    assert _result_doc(session.finalize()) == expected
+    for cut, path in paths.items():
+        restored = restore_session(load_checkpoint(path))
+        assert restored.served == cut
+        restored.feed(trace[cut:])
+        assert _result_doc(restored.finalize()) == expected, (
+            f"divergence restoring at request {cut}"
+        )
+
+
 class TestCheckpointRestoreProperty:
-    """Satellite: restore at any boundary ≡ the uninterrupted run."""
+    """Restore at any boundary ≡ the uninterrupted run, bit for bit."""
 
     @pytest.mark.parametrize("name", ["lru", "pa-lru"])
-    def test_restore_is_bit_identical_everywhere(self, golden_trace, name):
-        trace = golden_trace[:1200]
+    def test_restore_is_bit_identical_everywhere(
+        self, golden_trace, name, tmp_path
+    ):
         kwargs = _session_kwargs(name)
-        policy = kwargs.pop("policy")
+        _restore_everywhere(golden_trace[:1200], tmp_path, **kwargs)
 
-        unbroken = build_session(policy=policy, **kwargs)
-        unbroken.feed(trace)
-        expected = _result_doc(unbroken.finalize())
+    @pytest.mark.parametrize("dpm", MATRIX_DPMS)
+    @pytest.mark.parametrize("write_policy", WRITE_POLICY_NAMES)
+    @pytest.mark.parametrize("policy", _online_policies())
+    def test_snapshot_matrix(
+        self, golden_trace, tmp_path, policy, write_policy, dpm
+    ):
+        _restore_everywhere(
+            golden_trace[:1200],
+            tmp_path,
+            policy=policy,
+            write_policy=write_policy,
+            dpm=dpm,
+            **MATRIX_KWARGS,
+        )
 
-        for cut in spread_crash_points(len(trace), count=5):
-            original = build_session(
-                policy=policy, record_requests=True, **kwargs
-            )
-            original.feed(trace[:cut])
-            checkpoint = original.checkpoint()
+    @pytest.mark.parametrize("policy", ["arc", "mq", "lirs", "pa-lirs"])
+    def test_ghost_trimming_sessions(self, golden_trace, tmp_path, policy):
+        # An 8-block cache overflows LIRS's ghost bound (16 entries),
+        # which the 64-block matrix never reaches; dense cuts make some
+        # restore land just before the ghost heap is popped.
+        _restore_everywhere(
+            golden_trace[:1200],
+            tmp_path,
+            cuts=60,
+            policy=policy,
+            **{**MATRIX_KWARGS, "cache_blocks": 8},
+        )
 
-            # Round-trip through JSON like the daemon's checkpoint file.
-            checkpoint = SessionCheckpoint.from_dict(
-                json.loads(json.dumps(checkpoint.to_dict()))
-            )
-            restored = restore_session(checkpoint)
-            assert restored.served == cut
-            restored.feed(trace[cut:])
-            assert _result_doc(restored.finalize()) == expected, (
-                f"divergence restoring at request {cut}"
-            )
+    @pytest.mark.parametrize("policy", ["lru", "pa-lru"])
+    def test_adaptive_dpm_sessions(self, golden_trace, tmp_path, policy):
+        _restore_everywhere(
+            golden_trace[:1200],
+            tmp_path,
+            policy=policy,
+            write_policy="wtdu",
+            dpm="adaptive",
+            **MATRIX_KWARGS,
+        )
 
-    def test_restored_session_can_checkpoint_again(self, golden_trace):
-        trace = golden_trace[:100]
+    @pytest.mark.parametrize("policy", ["lru", "pa-lru"])
+    def test_prefetching_sessions(self, golden_trace, tmp_path, policy):
+        _restore_everywhere(
+            golden_trace[:1200],
+            tmp_path,
+            policy=policy,
+            prefetch_depth=4,
+            **MATRIX_KWARGS,
+        )
+
+    def test_restored_session_can_checkpoint_again(
+        self, golden_trace, tmp_path
+    ):
+        trace = golden_trace[:1200]
+        params = {"policy": "pa-lru", "write_policy": "wtdu", **MATRIX_KWARGS}
+        session = build_session(record_requests=True, **params)
+        session.feed(trace[:400])
+        first = save_checkpoint(session.checkpoint(), tmp_path / "a.json")
+        restored = restore_session(load_checkpoint(first))
+        restored.feed(trace[400:800])
+        second = save_checkpoint(restored.checkpoint(), tmp_path / "b.json")
+        again = restore_session(load_checkpoint(second))
+        assert again.served == 800
+        again.feed(trace[800:])
+        full = build_session(**params)
+        full.feed(trace)
+        assert _result_doc(again.finalize()) == _result_doc(full.finalize())
+
+
+def _longest_list(node) -> int:
+    if isinstance(node, dict):
+        return max(map(_longest_list, node.values()), default=0)
+    if isinstance(node, list):
+        return max([len(node), *map(_longest_list, node)])
+    return 0
+
+
+class TestSnapshotRestore:
+    """A restore loads state; it never re-simulates the prefix."""
+
+    def _checkpoint(self, trace, served=600):
+        session = build_session(
+            policy="pa-lru", write_policy="wtdu", record_requests=True,
+            **MATRIX_KWARGS,
+        )
+        session.feed(trace[:served])
+        return session.checkpoint()
+
+    def test_restore_replays_no_request(self, golden_trace, monkeypatch):
+        checkpoint = self._checkpoint(golden_trace)
+        calls = []
+        handle = StorageSimulator.handle_request
+
+        def counting(self, request):
+            calls.append(request)
+            return handle(self, request)
+
+        monkeypatch.setattr(StorageSimulator, "handle_request", counting)
+        restored = restore_session(checkpoint)
+        assert calls == []
+        assert restored.served == 600
+        restored.feed(golden_trace[600:610])
+        assert len(calls) == 10
+
+    def test_checkpoint_holds_no_per_request_rows(self, golden_trace, tmp_path):
+        path = save_checkpoint(
+            self._checkpoint(golden_trace), tmp_path / "cp.json"
+        )
+        document = json.loads(path.read_text())
+        assert "requests" not in document
+        # Per-disk and per-bin lists only; the response samples ride as
+        # one base64 string.
+        assert _longest_list(document) < 100
+
+    def test_checkpoint_refuses_a_fault_plan(self, golden_trace):
+        session = build_session(
+            policy="lru",
+            record_requests=True,
+            fault_plan=FaultPlan(
+                seed=5, spinup_failure_rate=0.3, io_error_rate=0.2
+            ),
+            **_session_kwargs_common(),
+        )
+        session.feed(golden_trace[:300])
+        with pytest.raises(ConfigurationError, match="fault plan"):
+            session.checkpoint()
+
+    def test_component_without_snapshot_is_refused(
+        self, golden_trace, monkeypatch
+    ):
         session = build_session(
             policy="lru", record_requests=True, **_session_kwargs_common()
         )
-        session.feed(trace[:40])
-        restored = restore_session(session.checkpoint())
-        restored.feed(trace[40:70])
-        second = restored.checkpoint()
-        assert second.served == 70
-        again = restore_session(second)
-        again.feed(trace[70:])
-        full = build_session(policy="lru", **_session_kwargs_common())
-        full.feed(trace)
-        assert _result_doc(again.finalize()) == _result_doc(full.finalize())
+        session.feed(golden_trace[:50])
+        monkeypatch.delattr(LRUPolicy, "state_dict")
+        with pytest.raises(ConfigurationError, match="LRUPolicy has no"):
+            session.checkpoint()
 
 
 def _session_kwargs_common():
