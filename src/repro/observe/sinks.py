@@ -10,9 +10,12 @@
   per-disk energy/spin tallies, hit/miss totals. Its :meth:`as_dict`
   snapshot is what ``run_simulation(..., trace_events=True)`` surfaces
   as ``SimulationResult.trace_metrics``; its O(1) :meth:`~MetricsSink.
-  snapshot` is the live view the ``repro serve`` ``/metrics`` endpoint
-  renders mid-run, with request-latency p50/p95/p99 from streaming
-  :class:`P2Quantile` estimators (no sample buffer, no finalize).
+  snapshot` is a live view with request-latency p50/p95/p99 from
+  streaming :class:`P2Quantile` estimators (no sample buffer, no
+  finalize). The ``repro serve`` daemon keeps one for its request,
+  latency and ingest series (:meth:`~MetricsSink.add_latencies`); its
+  ``/metrics`` engine series come from the simulator's ledgers
+  (:mod:`repro.serve.metrics`).
 """
 
 from __future__ import annotations
@@ -292,10 +295,7 @@ class MetricsSink(EventSink):
         elif isinstance(event, DirtyFlush):
             self.dirty_flushes += 1
         elif isinstance(event, RequestComplete):
-            self.requests += 1
-            self.latency_sum_s += event.latency_s
-            for estimator in self._latency_q.values():
-                estimator.add(event.latency_s)
+            self.add_latencies((event.latency_s,))
         elif isinstance(event, IngestAccepted):
             self.ingest_accepted += 1
             self.last_queue_depth = event.queue_depth
@@ -308,6 +308,18 @@ class MetricsSink(EventSink):
             self.epochs += 1
         elif isinstance(event, Insert):
             pass  # counted via `counts` only
+
+    def add_latencies(self, latencies) -> None:
+        """Count served requests from their latencies, in order — what
+        one :class:`RequestComplete` event per request would do. The
+        serve daemon calls this with each fed batch's latencies instead
+        of streaming events."""
+        estimators = tuple(self._latency_q.values())
+        for latency in latencies:
+            self.requests += 1
+            self.latency_sum_s += latency
+            for estimator in estimators:
+                estimator.add(latency)
 
     # -- snapshots (see repro.snapshot) -----------------------------------------
 

@@ -18,11 +18,13 @@ written atomically (temp file + rename, the
 :class:`~repro.campaign.store.ResultStore` discipline) so a crash
 mid-checkpoint never leaves a truncated file behind. ``state`` holds
 each component's ``state_dict()`` (:mod:`repro.snapshot`); ``metrics``
-is the daemon's ``/metrics`` sink, or ``null`` for a checkpoint written
-outside a daemon. Restore rebuilds the session from ``params`` and
-loads ``state`` into it without replaying a request, and the restored
-daemon's continuation is bit-identical to one that never stopped
-(enforced by the property test and the serve-smoke CI job).
+is the daemon's ``/metrics`` sink (its request, latency and ingest
+series; the engine series come from the ledgers in ``state``), or
+``null`` for a checkpoint written outside a daemon. Restore rebuilds
+the session from ``params`` and loads ``state`` into it without
+replaying a request, and the restored daemon's continuation is
+bit-identical to one that never stopped (enforced by the property
+test and the serve-smoke CI job).
 
 Version 1 files carried the whole request log for a replay; they are
 refused with an error that names the version.

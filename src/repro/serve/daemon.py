@@ -23,11 +23,22 @@ Everything runs on one event loop; the session is only mutated by
 synchronous code between awaits, so request boundaries are atomic and
 a checkpoint taken from any handler sees a consistent state.
 
-Concurrency note: ``OK`` responses are written straight to the client
-transport. A client that stops reading can make its kernel socket
-buffer (and asyncio's transport buffer) grow, but the *simulation*
-side stays bounded — admission is gated by the ingest queue, which is
-the resource the backpressure contract protects.
+The session is probe-free, so each fed batch runs on the engine's
+columnar loop. The ``/metrics`` engine series are read from the
+simulator's ledgers at scrape time; the daemon's own
+:class:`~repro.observe.sinks.MetricsSink` is fed the batch latencies
+and, over the daemon's bus, its ingest, checkpoint and drain events
+(:mod:`repro.serve.metrics`).
+
+Concurrency note: ``OK`` responses to a TCP connection are collected
+while a batch is fed and written straight to its transport with one
+``write`` per batch; HTTP ``/ingest`` waits on one future per request.
+A client that stops reading can make its kernel socket buffer (and
+asyncio's transport buffer) grow, but the *simulation* side stays
+bounded — admission is gated by the ingest queue, which is the
+resource the backpressure contract protects, and a connection's
+handler stops reading its requests while its transport is above the
+high-water mark.
 """
 
 from __future__ import annotations
@@ -116,9 +127,7 @@ class ServeDaemon:
             base = self.session.now
         else:
             self.session = build_session(
-                probe=self.bus,
-                record_requests=True,
-                **config.session_params,
+                record_requests=True, **config.session_params
             )
             base = 0.0
         self.clock = LockstepClock(config.time_dilation, base=base)
@@ -130,6 +139,9 @@ class ServeDaemon:
         self._last_checkpoint_served = self.session.served
         self._tcp_server: asyncio.base_events.Server | None = None
         self._http_server: asyncio.base_events.Server | None = None
+        #: Bound listener ports, recorded by :meth:`start`.
+        self.tcp_port = 0
+        self.http_port = 0
         self._feed_task: asyncio.Task | None = None
         self._tick_task: asyncio.Task | None = None
         self._drain_task: asyncio.Task | None = None
@@ -140,10 +152,12 @@ class ServeDaemon:
         """Rebuild the checkpointed session and, when the checkpoint
         carries it, the ``/metrics`` sink; any mismatch is a
         :class:`ServeError` naming the file, raised before a listener
-        opens."""
+        opens. The sink's engine counters, which checkpoints from
+        before the ledger-backed ``/metrics`` carry, are loaded but not
+        rendered: the restored ledgers hold those series."""
         cp = load_checkpoint(path)
         try:
-            session = restore_session(cp, probe=self.bus)
+            session = restore_session(cp)
             if cp.metrics is not None:
                 load_state(self.metrics, cp.metrics)
         except ReproError as exc:
@@ -161,12 +175,14 @@ class ServeDaemon:
         self._http_server = await asyncio.start_server(
             self._handle_http, cfg.host, cfg.http_port
         )
+        self.tcp_port = self._tcp_server.sockets[0].getsockname()[1]
+        self.http_port = self._http_server.sockets[0].getsockname()[1]
         self._feed_task = asyncio.ensure_future(self._feed_worker())
         self._feed_task.add_done_callback(self._on_feed_done)
         self._tick_task = asyncio.ensure_future(self._ticker())
         banner = {
-            "tcp_port": self._tcp_server.sockets[0].getsockname()[1],
-            "http_port": self._http_server.sockets[0].getsockname()[1],
+            "tcp_port": self.tcp_port,
+            "http_port": self.http_port,
             "label": self.session.simulator.label,
             "replayed": self.replayed,
             "sim_time": self.session.now,
@@ -190,23 +206,17 @@ class ServeDaemon:
         """Block until the drain has fully completed."""
         await self._done.wait()
 
-    @property
-    def tcp_port(self) -> int:
-        return self._tcp_server.sockets[0].getsockname()[1]
-
-    @property
-    def http_port(self) -> int:
-        return self._http_server.sockets[0].getsockname()[1]
-
     # -- ingest (shared by TCP and HTTP) ----------------------------------
 
-    def ingest(self, line: str):
+    def ingest(self, line: str, client: _TcpClient | None = None):
         """Admit one request line.
 
         Returns ``(response_text, None)`` for an immediate answer
-        (``RETRY``/``ERR``/``PONG``) or ``(None, future)`` for an
-        accepted request — the future resolves to the ``OK`` line once
-        the feed worker has served it.
+        (``RETRY``/``ERR``/``PONG``). An accepted request from a TCP
+        ``client`` returns ``(None, None)``: the feed worker writes its
+        ``OK`` line with the rest of that client's batch. Without a
+        client it returns ``(None, future)``; the future resolves to
+        the ``OK`` line once the feed worker has served it.
         """
         stripped = line.strip()
         if not stripped:
@@ -231,8 +241,14 @@ class ServeDaemon:
                 None,
             )
         request = parsed.to_request(stamp)
-        future = asyncio.get_running_loop().create_future()
-        accepted, after_s = self.queue.offer((request, parsed.req_id, future))
+        future = (
+            None
+            if client is not None
+            else asyncio.get_running_loop().create_future()
+        )
+        accepted, after_s = self.queue.offer(
+            (request, parsed.req_id, client or future)
+        )
         if not accepted:
             self.bus(
                 IngestRejected(
@@ -274,14 +290,10 @@ class ServeDaemon:
             if not batch:
                 continue
             t0 = time.monotonic()
-            requests = [item[0] for item in batch]
-            latencies = self.session.feed(requests)
+            latencies = self.session.feed([item[0] for item in batch])
             self.queue.note_drain(len(batch), time.monotonic() - t0)
-            for (request, req_id, future), latency in zip(batch, latencies):
-                if not future.done():
-                    future.set_result(
-                        format_ok(req_id, latency, request.time)
-                    )
+            self.metrics.add_latencies(latencies)
+            _acknowledge(batch, latencies)
             # Deliberate synchronous write: the checkpoint must be
             # consistent with the session state *at this batch border*,
             # so the loop holds still while it lands (single-threaded
@@ -290,7 +302,7 @@ class ServeDaemon:
             if self.config.feed_delay_s > 0:
                 await asyncio.sleep(self.config.feed_delay_s)
             else:
-                # Yield so connection handlers can enqueue/ack between
+                # Yield so connection handlers can enqueue between
                 # batches even under a saturating ingest stream.
                 await asyncio.sleep(0)
 
@@ -331,8 +343,9 @@ class ServeDaemon:
                 self.session.advance_to(now)
 
     async def _finish_drain(self) -> None:
-        if self._tick_task is not None:
-            self._tick_task.cancel()
+        ticker = self._tick_task
+        if ticker is not None:
+            ticker.cancel()
         for server in (self._tcp_server, self._http_server):
             if server is not None:
                 server.close()
@@ -361,6 +374,14 @@ class ServeDaemon:
         for server in (self._tcp_server, self._http_server):
             if server is not None:
                 await server.wait_closed()
+        if ticker is not None:
+            await asyncio.wait([ticker])
+        # Each server's connection callback and the tasks' coroutines
+        # hold this daemon: drop them so a drained daemon (and its
+        # simulator) is freed by reference counting, not by a later
+        # cyclic collection.
+        self._tcp_server = self._http_server = None
+        self._feed_task = self._tick_task = self._drain_task = None
         self._done.set()
 
     # -- checkpointing ----------------------------------------------------
@@ -387,6 +408,7 @@ class ServeDaemon:
     # -- TCP front door ---------------------------------------------------
 
     async def _handle_tcp(self, reader, writer) -> None:
+        client = _TcpClient(writer)
         try:
             while True:
                 raw = await reader.readline()
@@ -397,27 +419,14 @@ class ServeDaemon:
                 except UnicodeDecodeError:
                     writer.write(b"ERR - non-ascii line\n")
                     continue
-                text, future = self.ingest(line)
+                text, _ = self.ingest(line, client)
                 if text is not None:
                     writer.write(text.encode("ascii") + b"\n")
-                elif future is not None:
-                    future.add_done_callback(
-                        lambda f, w=writer: self._write_ack(w, f)
-                    )
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             writer.close()
-
-    @staticmethod
-    def _write_ack(writer, future: asyncio.Future) -> None:
-        if future.cancelled():
-            return
-        try:
-            writer.write(future.result().encode("ascii") + b"\n")
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            pass
 
     # -- HTTP front door --------------------------------------------------
 
@@ -463,7 +472,13 @@ class ServeDaemon:
         if content_length:
             body = (await reader.readexactly(content_length)).decode()
         if method == "GET" and target == "/metrics":
-            return 200, {}, render_metrics(self.metrics, self._gauges())
+            return (
+                200,
+                {},
+                render_metrics(
+                    self.metrics, self.session.simulator, self._gauges()
+                ),
+            )
         if method == "GET" and target == "/healthz":
             health = {
                 "status": "draining" if self._draining else "ok",
@@ -516,6 +531,7 @@ class ServeDaemon:
         return 200, {}, "\n".join(lines) + ("\n" if lines else "")
 
     def _gauges(self) -> dict[str, float]:
+        """The :data:`~repro.serve.metrics.GAUGES` series."""
         return {
             "sim_time_seconds": self.session.now,
             "served_requests": float(self.session.served),
@@ -529,6 +545,41 @@ class ServeDaemon:
 
     def _print(self, line: str) -> None:
         print(line, file=self._out, flush=True)
+
+
+class _TcpClient:
+    """One TCP connection's ``OK`` lines for the batch being fed."""
+
+    __slots__ = ("writer", "pending")
+
+    def __init__(self, writer) -> None:
+        self.writer = writer
+        self.pending: list[str] = []
+
+    def flush(self) -> None:
+        """Write the pending lines with one ``write``."""
+        data = ("\n".join(self.pending) + "\n").encode("ascii")
+        self.pending.clear()
+        try:
+            self.writer.write(data)
+        except (ConnectionResetError, BrokenPipeError, RuntimeError):
+            pass
+
+
+def _acknowledge(batch, latencies) -> None:
+    """Answer a fed batch: one write per TCP client, and the futures
+    of HTTP ``/ingest`` requests resolved one by one."""
+    clients: list[_TcpClient] = []
+    for (request, req_id, ack), latency in zip(batch, latencies):
+        line = format_ok(req_id, latency, request.time)
+        if type(ack) is _TcpClient:
+            if not ack.pending:
+                clients.append(ack)
+            ack.pending.append(line)
+        elif not ack.done():
+            ack.set_result(line)
+    for client in clients:
+        client.flush()
 
 
 _REASONS = {

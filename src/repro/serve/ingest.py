@@ -35,7 +35,7 @@ class IngestQueue:
     """Fixed-capacity FIFO between ingest and the feed worker.
 
     Items are opaque to the queue (the daemon enqueues
-    ``(IORequest, ack_callback)`` pairs). All methods are event-loop
+    ``(IORequest, req_id, ack)`` triples). All methods are event-loop
     local — the daemon is single-threaded asyncio, so no locking.
     """
 

@@ -9,9 +9,12 @@ real daemon subprocess on loopback:
    explicit-time tail, SIGTERM, and assert the graceful-drain
    contract: every acknowledged request is in the ``FINAL`` served
    count — zero lost acknowledged requests.
-2. **Restore**: boot a second daemon from the phase-1 checkpoint, push
-   the *same* explicit-time tail, drain, and assert its ``FINAL``
-   result digest is bit-identical to phase 1's — the restored daemon
+2. **Restore**: boot a second daemon from the phase-1 checkpoint and
+   scrape its ``/metrics`` before any traffic: every series but the
+   daemon gauges must equal phase 1's scrape, taken just before that
+   checkpoint — ``/metrics`` continues across processes. Push the
+   *same* explicit-time tail, drain, and assert its ``FINAL`` result
+   digest is bit-identical to phase 1's — the restored daemon
    continued exactly where the original would have gone. Then boot a
    third daemon from the second one's drain checkpoint, send it
    nothing, drain, and assert the same digest again: a snapshot
@@ -39,6 +42,7 @@ from pathlib import Path
 
 from repro.serve.checkpoint import latest_checkpoint
 from repro.serve.loadgen import LoadConfig, run_load
+from repro.serve.metrics import parse_metrics
 
 #: Explicit-time tails sit far above any wall-derived stamp.
 EXPLICIT_BASE = 1_000_000.0
@@ -124,10 +128,10 @@ def load(port: int, **overrides) -> dict:
 
 
 def scrape_metric(text: str, name: str) -> float:
-    for line in text.splitlines():
-        if line.startswith(name + " "):
-            return float(line.split()[1])
-    raise SmokeFailure(f"metric {name} missing from /metrics")
+    series = parse_metrics(text)
+    if name not in series:
+        raise SmokeFailure(f"metric {name} missing from /metrics")
+    return series[name]
 
 
 def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
@@ -149,6 +153,8 @@ def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
             f"main load lost requests: {report}",
         )
 
+        health = json.loads(daemon.http("GET", "/healthz"))
+        check(health["status"] == "ok", f"unhealthy: {health}")
         metrics = daemon.http("GET", "/metrics")
         check(
             scrape_metric(metrics, "repro_requests_total") == requests,
@@ -156,11 +162,9 @@ def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
         )
         check(
             scrape_metric(metrics, "repro_energy_joules_total") > 0,
-            "no streamed energy in /metrics",
+            "no disk energy in /metrics",
         )
         scrape_metric(metrics, "repro_cache_hit_ratio")
-        health = json.loads(daemon.http("GET", "/healthz"))
-        check(health["status"] == "ok", f"unhealthy: {health}")
 
         cp_doc = json.loads(daemon.http("POST", "/checkpoint", b""))
         check(
@@ -192,6 +196,17 @@ def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
             restored.ready["replayed"] == requests,
             f"restore replayed {restored.ready['replayed']}",
         )
+        before = parse_metrics(metrics, gauges=False)
+        after = parse_metrics(restored.http("GET", "/metrics"), gauges=False)
+        changed = sorted(
+            name
+            for name in before.keys() | after.keys()
+            if before.get(name) != after.get(name)
+        )
+        check(
+            not changed,
+            f"/metrics did not continue across the restore: {changed}",
+        )
         tail2 = load(
             restored.tcp_port, users=1, requests=500, workload="zipf",
             num_disks=4, seed=7, explicit_time_base=EXPLICIT_BASE,
@@ -205,7 +220,10 @@ def phase_serve_and_restore(requests: int, checkpoint_dir: Path) -> None:
         "restored daemon diverged: "
         f"{final2['digest']} != {final['digest']}",
     )
-    print(f"phase 2 ok: restored digest matches ({final2['digest'][:16]}…)")
+    print(
+        f"phase 2 ok: {len(before)} /metrics series continue across the "
+        f"restore; restored digest matches ({final2['digest'][:16]}…)"
+    )
 
     drained = latest_checkpoint(restored_dir)
     check(drained is not None, "restored daemon wrote no drain checkpoint")

@@ -227,7 +227,7 @@ class StorageSimulator:
     def run(self) -> SimulationResult:
         """Execute the simulation; may be called once per instance.
 
-        This is the batch drive style; :meth:`handle_request` +
+        This is the batch drive style; :meth:`handle_batch` +
         :meth:`finish` (wrapped by
         :class:`~repro.sim.session.SimulationSession`) is the
         incremental one. A :class:`ColumnarTrace` with no probe attached
@@ -320,7 +320,9 @@ class StorageSimulator:
 
         Only runs when no event hook is attached (probe-attached runs
         go through :meth:`handle_request`, which keeps the full event
-        stream). Performs exactly the operations of
+        stream); :meth:`handle_batch` runs it once per fed batch, so
+        it starts from whatever state earlier batches left. Performs
+        exactly the operations of
         ``StorageCache.access`` + :meth:`handle_request`, in the same
         order; the plain-counter statistics are kept in locals and
         folded into ``CacheStats`` once at the end (integer addition
@@ -1522,6 +1524,30 @@ class StorageSimulator:
                 )
             )
         return worst
+
+    def handle_batch(self, requests: Sequence[IORequest]) -> list[float]:
+        """Process a time-ordered batch; returns its response times.
+
+        :meth:`run`'s loop choice, applied to one batch: with no probe
+        attached the rows run on the generic columnar loop
+        (:meth:`_run_columnar_fast`; the fused loops need the whole
+        trace up front), otherwise one by one through
+        :meth:`handle_request`, which emits the full event stream. The
+        caller checks the time order (``SimulationSession.feed`` does,
+        for the whole batch, before calling).
+        """
+        if self.probe is not None:
+            handle = self.handle_request
+            return [handle(req) for req in requests]
+        start = len(self._responses)
+        self._run_columnar_fast(
+            [req.time for req in requests],
+            [req.disk for req in requests],
+            [req.block for req in requests],
+            [req.nblocks for req in requests],
+            [req.is_write for req in requests],
+        )
+        return self._responses[start:]
 
     def finish(self, end_time: float) -> SimulationResult:
         """Wind the disks down to ``end_time`` and build the report."""

@@ -8,8 +8,12 @@ produces the same :class:`~repro.sim.results.SimulationResult` a batch
 run returns. ``run_simulation`` is re-expressed on top of a session
 (see :func:`repro.sim.runner.build_session`), and the differential
 tests in ``tests/sim/test_session.py`` pin the two drive styles —
-``feed()`` request by request versus the batch fast path — to
-bit-identical results.
+``feed()`` batch by batch versus the batch run — to bit-identical
+results. A probe-free session feeds each batch to the engine's generic
+columnar loop, a probe-attached one to the ``handle_request``
+reference (:meth:`~repro.sim.engine.StorageSimulator.handle_batch`);
+the tests compare the columnar feed with the reference for every
+online policy, write policy and DPM.
 
 Checkpoints are **state snapshots**: the rebuild parameters plus the
 ``state_dict()`` of every stateful component (:mod:`repro.snapshot`).
@@ -133,7 +137,14 @@ class SimulationSession:
 
         Request times must be non-decreasing across *all* feeds and
         :meth:`advance_to` calls — the engine's trace-order contract,
-        enforced here because live batches arrive piecewise.
+        enforced here because live batches arrive piecewise. The whole
+        batch is checked before any of it is simulated, so a rejected
+        batch leaves the session as it was. The batch then runs through
+        :meth:`StorageSimulator.handle_batch
+        <repro.sim.engine.StorageSimulator.handle_batch>`: on the
+        columnar loop for a probe-free session, through
+        ``handle_request`` (every event emitted) for a probe-attached
+        one.
         """
         self._check_open()
         if isinstance(self.simulator.policy, OfflinePolicy):
@@ -142,17 +153,16 @@ class SimulationSession:
                 "whole trace up front and cannot be fed incrementally; "
                 "use run_batch() or an online policy"
             )
-        handle = self.simulator.handle_request
+        requests = batch if isinstance(batch, Sequence) else list(batch)
         watermark = self._watermark
-        responses: list[float] = []
-        for req in batch:
+        for req in requests:
             if req.time < watermark:
                 raise TraceError(
                     f"request at t={req.time} arrived behind the session "
                     f"watermark {watermark}; feeds must be time-ordered"
                 )
             watermark = req.time
-            responses.append(handle(req))
+        responses = self.simulator.handle_batch(requests)
         self._served += len(responses)
         if responses:
             self._last_request_time = watermark

@@ -9,7 +9,9 @@ bit-for-bit against the batch engine.
 """
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -90,6 +92,22 @@ async def drain(daemon):
     daemon.request_drain()
     await asyncio.wait_for(daemon.wait_closed(), timeout=30)
     return daemon.result
+
+
+async def http_exchange(port, method, path, body=b""):
+    """One HTTP exchange; returns ``(status, body text)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    writer.write(head.encode() + body)
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(), timeout=10)
+    writer.close()
+    header, _, payload = raw.decode().partition("\r\n\r\n")
+    status = int(header.split()[1])
+    return status, payload
 
 
 def req_lines(trace):
@@ -187,6 +205,36 @@ class TestLockstepService:
         assert daemon.exit_code == 0
 
 
+class TestDrainedDaemonIsFreed:
+    def test_without_the_cyclic_gc(self):
+        """Nothing but reference counting is needed to free a drained
+        daemon: no server callback, task or coroutine frame keeps it
+        (and its simulator) alive in a reference cycle."""
+        trace = small_trace(40)
+
+        async def scenario():
+            daemon = await start_daemon()
+            await tcp_exchange(daemon.tcp_port, req_lines(trace[:20]))
+            await http_exchange(
+                daemon.http_port,
+                "POST",
+                "/ingest",
+                "\n".join(req_lines(trace[20:])).encode(),
+            )
+            await http_exchange(daemon.http_port, "GET", "/metrics")
+            await drain(daemon)
+            assert daemon.session.served == 40
+            return weakref.ref(daemon.session.simulator)
+
+        gc.collect()
+        gc.disable()
+        try:
+            simulator = run(scenario())
+            assert simulator() is None
+        finally:
+            gc.enable()
+
+
 class TestBackpressure:
     def test_overload_answers_retry_and_nothing_is_lost(self):
         async def flood(port, n):
@@ -221,32 +269,18 @@ class TestBackpressure:
 
 
 class TestHttpSurface:
-    async def _http(self, port, method, path, body=b""):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        head = (
-            f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        )
-        writer.write(head.encode() + body)
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout=10)
-        writer.close()
-        header, _, payload = raw.decode().partition("\r\n\r\n")
-        status = int(header.split()[1])
-        return status, payload
-
     def test_healthz_metrics_ingest_and_404(self):
         trace = small_trace(30)
 
         async def scenario():
             daemon = await start_daemon()
             body = "\n".join(req_lines(trace)).encode()
-            ingest = await self._http(
+            ingest = await http_exchange(
                 daemon.http_port, "POST", "/ingest", body
             )
-            health = await self._http(daemon.http_port, "GET", "/healthz")
-            metrics = await self._http(daemon.http_port, "GET", "/metrics")
-            missing = await self._http(daemon.http_port, "GET", "/nope")
+            health = await http_exchange(daemon.http_port, "GET", "/healthz")
+            metrics = await http_exchange(daemon.http_port, "GET", "/metrics")
+            missing = await http_exchange(daemon.http_port, "GET", "/nope")
             await drain(daemon)
             return ingest, health, metrics, missing
 
@@ -268,7 +302,7 @@ class TestHttpSurface:
         async def original():
             daemon = await start_daemon(checkpoint_dir=str(tmp_path))
             await tcp_exchange(daemon.tcp_port, req_lines(head))
-            status, payload = await self._http(
+            status, payload = await http_exchange(
                 daemon.http_port, "POST", "/checkpoint"
             )
             assert status == 200
@@ -335,11 +369,11 @@ class TestHttpSurface:
                     checkpoint_dir=str(tmp_path), session_params=session
                 )
                 await tcp_exchange(daemon.tcp_port, req_lines(head))
-                await self._http(daemon.http_port, "POST", "/checkpoint")
+                await http_exchange(daemon.http_port, "POST", "/checkpoint")
             else:
                 daemon = await start_daemon(restore_path=restore_path)
             await tcp_exchange(daemon.tcp_port, req_lines(tail))
-            _, metrics = await self._http(daemon.http_port, "GET", "/metrics")
+            _, metrics = await http_exchange(daemon.http_port, "GET", "/metrics")
             await drain(daemon)
             return series(metrics)
 
@@ -361,7 +395,7 @@ class TestHttpSurface:
     def test_checkpoint_endpoint_without_dir_is_a_conflict(self):
         async def scenario():
             daemon = await start_daemon()
-            status, _ = await self._http(
+            status, _ = await http_exchange(
                 daemon.http_port, "POST", "/checkpoint"
             )
             await drain(daemon)

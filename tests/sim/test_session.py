@@ -34,6 +34,7 @@ from repro.sim import (
 )
 from repro.sim.session import ordered_batches
 from repro.traces.record import IORequest
+from repro.traces.zoo import CDNTraceConfig, generate_cdn_trace
 
 from tests.integration.golden_spec import (
     COMMON_KWARGS,
@@ -122,6 +123,81 @@ def _online_policies():
 #: regions and epoch rollovers all carry state across each restore.
 MATRIX_KWARGS = {"num_disks": 5, "cache_blocks": 64, "pa_epoch_s": 60.0}
 MATRIX_DPMS = ("practical", "oracle", "always_on")
+
+
+def _feed_matches_batch(trace, batch_size, **params):
+    """A probe-free session fed ``trace`` in batches (the columnar loop)
+    must equal ``run_simulation`` over the list trace (the
+    ``handle_request`` reference), bit for bit."""
+    requests = list(trace)
+    reference = run_simulation(requests, **params)
+    session = build_session(**params)
+    for batch in ordered_batches(requests, batch_size):
+        session.feed(batch)
+    assert _result_doc(session.finalize()) == _result_doc(reference)
+
+
+class TestColumnarFeedMatchesReference:
+    """Every online configuration a live session can run, fed on the
+    columnar loop, against the ``handle_request`` reference."""
+
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    @pytest.mark.parametrize("dpm", MATRIX_DPMS)
+    @pytest.mark.parametrize("write_policy", WRITE_POLICY_NAMES)
+    @pytest.mark.parametrize("policy", _online_policies())
+    def test_matrix(self, golden_trace, policy, write_policy, dpm, batch_size):
+        _feed_matches_batch(
+            golden_trace[:1200],
+            batch_size,
+            policy=policy,
+            write_policy=write_policy,
+            dpm=dpm,
+            **MATRIX_KWARGS,
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    @pytest.mark.parametrize("policy", ["lru", "pa-lru"])
+    @pytest.mark.parametrize(
+        "case", ["prefetch", "multi-block-cdn", "disk-faults"]
+    )
+    def test_prefetch_multi_block_and_faults(
+        self, golden_trace, case, policy, batch_size
+    ):
+        trace, params = golden_trace[:1200], dict(MATRIX_KWARGS)
+        if case == "prefetch":
+            params["prefetch_depth"] = 4
+        elif case == "multi-block-cdn":
+            trace = generate_cdn_trace(
+                CDNTraceConfig(
+                    duration_s=12.0, num_disks=5, write_ratio=0.2, seed=11
+                )
+            )
+            assert int(trace.nblocks.max()) > 1
+        else:
+            params["fault_plan"] = FaultPlan(
+                seed=5, spinup_failure_rate=0.3, io_error_rate=0.2
+            )
+        _feed_matches_batch(trace, batch_size, policy=policy, **params)
+
+    def test_probe_attached_feed_emits_every_request(self, golden_trace):
+        events = []
+        session = build_session(
+            policy="pa-lru", write_policy="wtdu", probe=events.append,
+            **MATRIX_KWARGS,
+        )
+        fed = []
+        for batch in ordered_batches(golden_trace[:300], 32):
+            fed += session.feed(batch)
+        completed = [e for e in events if e.kind == "request_complete"]
+        assert [e.latency_s for e in completed] == fed
+        plain = build_session(
+            policy="pa-lru", write_policy="wtdu", **MATRIX_KWARGS
+        )
+        assert plain.feed(golden_trace[:300]) == fed
+        assert len(fed) == 300
+        assert _result_doc(session.finalize()) == _result_doc(
+            plain.finalize()
+        )
 
 
 def _restore_everywhere(trace, tmp_path, cuts=5, **params):
@@ -250,18 +326,22 @@ class TestSnapshotRestore:
     def test_restore_replays_no_request(self, golden_trace, monkeypatch):
         checkpoint = self._checkpoint(golden_trace)
         calls = []
-        handle = StorageSimulator.handle_request
+        for name in ("run", "handle_batch", "handle_request"):
+            original = getattr(StorageSimulator, name)
 
-        def counting(self, request):
-            calls.append(request)
-            return handle(self, request)
+            def counting(self, *args, _name=name, _original=original):
+                calls.append((_name, args))
+                return _original(self, *args)
 
-        monkeypatch.setattr(StorageSimulator, "handle_request", counting)
+            monkeypatch.setattr(StorageSimulator, name, counting)
         restored = restore_session(checkpoint)
         assert calls == []
         assert restored.served == 600
         restored.feed(golden_trace[600:610])
-        assert len(calls) == 10
+        # one columnar batch of the ten fed rows, nothing row by row
+        assert [(name, len(args[0])) for name, args in calls] == [
+            ("handle_batch", 10)
+        ]
 
     def test_checkpoint_holds_no_per_request_rows(self, golden_trace, tmp_path):
         path = save_checkpoint(
@@ -318,6 +398,28 @@ class TestSessionLifecycle:
         session.feed(self._requests([1.0, 2.0]))
         with pytest.raises(TraceError, match="behind the session watermark"):
             session.feed(self._requests([1.5]))
+
+    @pytest.mark.parametrize("probe", [None, "events"], ids=["columnar", "probe"])
+    def test_rejected_batch_is_not_simulated(self, probe):
+        def session():
+            return self._session(probe=[].append if probe else None)
+
+        good = self._requests([1.0, 2.0, 3.0])
+        late = IORequest(time=0.5, disk=0, block=99, nblocks=1, is_write=False)
+        rejected = session()
+        with pytest.raises(TraceError, match="behind the session watermark"):
+            rejected.feed([*good, late])
+        assert rejected.served == 0
+        assert rejected.now == 0.0
+        assert rejected.simulator.cache.stats.accesses == 0
+        rejected.feed(good)
+        clean = session()
+        clean.feed(good)
+        assert rejected.served == clean.served == 3
+        assert rejected.now == clean.now == 3.0
+        assert _result_doc(rejected.finalize()) == _result_doc(
+            clean.finalize()
+        )
 
     def test_advance_to_cannot_go_backwards(self):
         session = self._session()
