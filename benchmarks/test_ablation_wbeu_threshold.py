@@ -8,13 +8,16 @@ wake-ups (approaching pure eager write-back).
 
 from repro.analysis.tables import ascii_table
 from repro.sim.runner import run_simulation
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 THRESHOLDS = [4, 16, 64, 256, 1024]
 
 
 def sweep():
-    trace = generate_synthetic_trace(
+    trace = generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=25_000, write_ratio=0.6, seed=41)
     )
     wt = run_simulation(

@@ -7,13 +7,13 @@ future disk access, so idle periods stretch and response improves.
 
 from repro.analysis.tables import ascii_table
 from repro.sim.runner import run_simulation
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
 
 DEPTHS = [0, 2, 4, 8, 16]
 
 
 def sweep():
-    trace = generate_cello_trace(CelloTraceConfig(duration_s=600.0))
+    trace = generate_cello_trace_columnar(CelloTraceConfig(duration_s=600.0))
     return [
         (
             depth,

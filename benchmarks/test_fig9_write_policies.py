@@ -18,7 +18,10 @@ import pytest
 
 from repro.analysis.figures import write_policy_sweep
 from repro.analysis.tables import ascii_table
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 WRITE_RATIOS = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 INTERARRIVALS_MS = [10, 50, 100, 250, 1000, 5000, 10000]
@@ -29,7 +32,7 @@ POLICIES = ("write-back", "wbeu", "wtdu")
 
 def make_trace_factory(arrival_process):
     def make_trace(write_ratio=0.5, mean_interarrival_s=0.25):
-        return generate_synthetic_trace(
+        return generate_synthetic_trace_columnar(
             SyntheticTraceConfig(
                 num_requests=NUM_REQUESTS,
                 arrival_process=arrival_process,

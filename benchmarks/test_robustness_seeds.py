@@ -8,7 +8,7 @@ PA-LRU savings band survive every one.
 
 from repro.analysis.tables import ascii_table
 from repro.sim.runner import run_simulation
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 from benchmarks.conftest import OLTP_CACHE_BLOCKS
 
 SEEDS = (7, 101, 2026)
@@ -18,7 +18,7 @@ POLICIES = ("infinite", "belady", "opg", "lru", "pa-lru")
 def sweep():
     table = {}
     for seed in SEEDS:
-        trace = generate_oltp_trace(OLTPTraceConfig(seed=seed))
+        trace = generate_oltp_trace_columnar(OLTPTraceConfig(seed=seed))
         runs = {
             policy: run_simulation(
                 trace, policy, num_disks=21, cache_blocks=OLTP_CACHE_BLOCKS

@@ -6,13 +6,19 @@ import pytest
 
 from repro.analysis.tables import ascii_table
 from repro.traces.stats import characterize
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 def test_table3_synthetic_defaults(benchmark, report):
     config = SyntheticTraceConfig(num_requests=30_000)  # sampled subset
     trace = benchmark.pedantic(
-        generate_synthetic_trace, args=(config,), rounds=1, iterations=1
+        generate_synthetic_trace_columnar,
+        args=(config,),
+        rounds=1,
+        iterations=1,
     )
     stats = characterize(trace)
     defaults = SyntheticTraceConfig()

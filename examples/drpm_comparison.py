@@ -11,7 +11,7 @@ Run (takes ~1 minute):
     python examples/drpm_comparison.py
 """
 
-from repro import OLTPTraceConfig, generate_oltp_trace
+from repro import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.analysis.plotting import bar_chart
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
@@ -21,7 +21,7 @@ CACHE_BLOCKS = 2048
 
 def main() -> None:
     print("generating a 1-hour OLTP-like trace...")
-    trace = generate_oltp_trace(OLTPTraceConfig(duration_s=3600.0))
+    trace = generate_oltp_trace_columnar(OLTPTraceConfig(duration_s=3600.0))
     print(f"  {len(trace):,} requests\n")
 
     results = {}

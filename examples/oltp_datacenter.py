@@ -11,7 +11,7 @@ Run (takes a couple of minutes):
     python examples/oltp_datacenter.py
 """
 
-from repro import generate_oltp_trace
+from repro import generate_oltp_trace_columnar
 from repro.analysis.figures import replacement_comparison, time_breakdown_comparison
 from repro.analysis.tables import ascii_table
 from repro.traces.oltp import OLTPTraceConfig
@@ -22,7 +22,7 @@ POLICIES = ("infinite", "belady", "opg", "lru", "pa-lru")
 
 def main() -> None:
     print("generating the 2-hour OLTP-like trace...")
-    trace = generate_oltp_trace()
+    trace = generate_oltp_trace_columnar()
     print(f"  {len(trace):,} requests\n")
 
     print("running 5 policies x 2 DPM schemes (10 simulations)...\n")

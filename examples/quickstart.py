@@ -9,14 +9,14 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import OLTPTraceConfig, generate_oltp_trace, run_simulation
+from repro import OLTPTraceConfig, generate_oltp_trace_columnar, run_simulation
 
 CACHE_BLOCKS = 2048  # 16 MiB of 8 KiB blocks
 
 
 def main() -> None:
     print("generating workload (40 simulated minutes, 21 disks)...")
-    trace = generate_oltp_trace(OLTPTraceConfig(duration_s=2400.0))
+    trace = generate_oltp_trace_columnar(OLTPTraceConfig(duration_s=2400.0))
     print(f"  {len(trace):,} requests\n")
 
     results = {}

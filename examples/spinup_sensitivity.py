@@ -9,7 +9,7 @@ Run:
     python examples/spinup_sensitivity.py
 """
 
-from repro import OLTPTraceConfig, generate_oltp_trace
+from repro import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.analysis.figures import spinup_cost_sweep
 
 COSTS = [33.75, 67.5, 135.0, 270.0, 675.0]
@@ -18,7 +18,7 @@ CACHE_BLOCKS = 2048
 
 def main() -> None:
     print("generating a 1-hour OLTP-like trace...")
-    trace = generate_oltp_trace(OLTPTraceConfig(duration_s=3600.0))
+    trace = generate_oltp_trace_columnar(OLTPTraceConfig(duration_s=3600.0))
     print(f"  {len(trace):,} requests\n")
     print("sweeping spin-up cost (2 simulations per point)...\n")
     points = spinup_cost_sweep(

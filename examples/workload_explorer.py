@@ -11,7 +11,7 @@ Run:
     python examples/workload_explorer.py
 """
 
-from repro import OLTPTraceConfig, generate_oltp_trace
+from repro import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.analysis.plotting import sparkline
 from repro.analysis.tables import ascii_table
 from repro.power.envelope import EnergyEnvelope
@@ -22,7 +22,7 @@ from repro.traces.stats import characterize, characterize_disks
 
 def main() -> None:
     config = OLTPTraceConfig(duration_s=2400.0)
-    trace = generate_oltp_trace(config)
+    trace = generate_oltp_trace_columnar(config)
     overall = characterize(trace)
     print(overall.table_row("OLTP") + "\n")
 

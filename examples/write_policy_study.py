@@ -9,7 +9,7 @@ Run:
     python examples/write_policy_study.py
 """
 
-from repro import LogDevice, generate_synthetic_trace, run_simulation
+from repro import LogDevice, generate_synthetic_trace_columnar, run_simulation
 from repro.analysis.tables import ascii_table
 from repro.traces.synthetic import SyntheticTraceConfig
 
@@ -20,7 +20,7 @@ WRITE_RATIOS = (0.2, 0.5, 0.8, 1.0)
 def energy_sweep() -> None:
     rows = []
     for write_ratio in WRITE_RATIOS:
-        trace = generate_synthetic_trace(
+        trace = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(num_requests=20_000, write_ratio=write_ratio)
         )
         wt = run_simulation(

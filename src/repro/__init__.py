@@ -13,9 +13,9 @@ figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import generate_oltp_trace, run_simulation
+    from repro import generate_oltp_trace_columnar, run_simulation
 
-    trace = generate_oltp_trace()
+    trace = generate_oltp_trace_columnar()
     lru = run_simulation(trace, "lru", num_disks=21, cache_blocks=16384)
     pa = run_simulation(trace, "pa-lru", num_disks=21, cache_blocks=16384)
     print(pa.savings_over(lru))
@@ -93,10 +93,10 @@ from repro.traces import (
     IORequest,
     OLTPTraceConfig,
     SyntheticTraceConfig,
+    WORKLOADS,
     characterize,
-    generate_cello_trace,
-    generate_oltp_trace,
-    generate_synthetic_trace,
+    generate_cello_trace_columnar,
+    generate_oltp_trace_columnar,
     generate_synthetic_trace_columnar,
     trace_fingerprint,
 )
@@ -165,15 +165,15 @@ __all__ = [
     "TraceError",
     "ULTRASTAR_36Z15",
     "WBEUPolicy",
+    "WORKLOADS",
     "WRITE_POLICY_NAMES",
     "WTDUPolicy",
     "WriteBackPolicy",
     "WriteThroughPolicy",
     "build_power_model",
     "characterize",
-    "generate_cello_trace",
-    "generate_oltp_trace",
-    "generate_synthetic_trace",
+    "generate_cello_trace_columnar",
+    "generate_oltp_trace_columnar",
     "generate_synthetic_trace_columnar",
     "make_pa_lru",
     "run_campaign",

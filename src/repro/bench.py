@@ -3,24 +3,25 @@
 Times the simulator's hot paths on fixed, seeded workloads and writes
 the measurements as JSON (``BENCH_hotpath.json`` by default) so every
 PR leaves a performance trajectory behind. Each policy scenario runs
-the *same* trace through both representations:
+the *same* trace down both engine paths:
 
-* **legacy** — a list of :class:`~repro.traces.record.IORequest`
-  objects driving the per-object engine loop, and
-* **columnar** — a :class:`~repro.traces.columnar.ColumnarTrace`
-  driving the struct-of-arrays fast path,
+* **reference** — ``trace.to_requests()``, a list of
+  :class:`~repro.traces.record.IORequest` objects driving the
+  per-object ``handle_request`` loop, and
+* **columnar** — the :class:`~repro.traces.columnar.ColumnarTrace`
+  itself, driving the struct-of-arrays fast loops,
 
 and records wall times plus their ratio (``speedup``). Because the
 ratio compares two measurements from the same process on the same
 machine, it is what CI gates on — absolute wall times vary across
-runners, the legacy/columnar ratio far less. The harness also asserts
-the two paths produce byte-identical serialized results, so a perf run
-doubles as an end-to-end equivalence check.
+runners, the reference/columnar ratio far less. The harness also
+asserts the two paths produce byte-identical serialized results, so a
+perf run doubles as an end-to-end equivalence check.
 
 Scenarios (``--small`` shrinks the workloads for CI smoke runs):
 
 ========== ===========================================================
-generate    synthetic trace generation, object rows vs columns
+generate    synthetic trace generation into columns (krows/s)
 lru_wb      LRU + write-back, practical DPM (the headline scenario)
 pa_lru      PA-LRU (epoch classifier exercised)
 opg_theta0  OPG with θ=0 (offline prepare + priority eviction)
@@ -36,7 +37,9 @@ campaign    16-point grid via ``run_points`` with 2 workers, trace
 ``--check BASELINE.json`` compares each scenario's speedup against the
 committed baseline and exits non-zero on a >``--tolerance`` regression;
 a baseline may also declare absolute ``floors`` that gate a metric
-directly rather than relative to the baseline's own measurement.
+directly rather than relative to the baseline's own measurement (the
+``generate`` scenario, which has no second path to compare, is gated
+only by its ``columnar_krps`` floor).
 ``--profile`` re-runs each scenario's hot leg under :mod:`cProfile`
 and writes ``profile_<scenario>.pstats`` next to the report.
 """
@@ -57,10 +60,8 @@ from typing import Any, Callable
 from repro.campaign.executor import PointTask, run_points
 from repro.sim.runner import run_simulation
 from repro.units import KILO
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 from repro.traces.zoo import DBMSTraceConfig, generate_dbms_trace
@@ -217,24 +218,21 @@ def run_bench(
     scenarios = report["scenarios"]
 
     # -- trace generation --------------------------------------------------
+    # One path only, so no ratio: gated by an absolute columnar_krps
+    # (thousand rows/s) floor in the baseline.
     cfg = SyntheticTraceConfig(num_requests=policy_n, seed=TRACE_SEED)
     progress(f"generate: {policy_n:,} requests ...")
-    legacy_s, legacy_trace = _timed(
-        lambda: generate_synthetic_trace(cfg), repeats
-    )
     columnar_s, trace = _timed(
         lambda: generate_synthetic_trace_columnar(cfg), repeats
     )
     scenarios["generate"] = {
         "requests": policy_n,
-        "legacy_s": round(legacy_s, 4),
         "columnar_s": round(columnar_s, 4),
-        "speedup": round(legacy_s / columnar_s, 3),
-        "identical": list(trace.iter_requests()) == legacy_trace,
+        "columnar_krps": round(policy_n / columnar_s / KILO, 1),
     }
     progress(
-        f"generate: legacy {legacy_s:.2f}s, columnar {columnar_s:.2f}s "
-        f"({legacy_s / columnar_s:.2f}x)"
+        f"generate: columnar {columnar_s:.2f}s "
+        f"({policy_n / columnar_s / KILO:.1f} krows/s)"
     )
     if profile_dir is not None:
         profiles["generate"] = _profile_scenario(
@@ -245,23 +243,28 @@ def run_bench(
         )
 
     # -- policy scenarios --------------------------------------------------
+    reference_trace = trace.to_requests()
     lru_columnar_s = None
     for name, policy, extra in POLICY_SCENARIOS:
         progress(f"{name}: {policy_n:,} requests ...")
-        legacy_s, legacy_result = _timed(
-            lambda: run_simulation(legacy_trace, policy, **COMMON, **extra),
+        reference_s, reference_result = _timed(
+            lambda: run_simulation(
+                reference_trace, policy, **COMMON, **extra
+            ),
             repeats,
         )
         columnar_s, columnar_result = _timed(
             lambda: run_simulation(trace, policy, **COMMON, **extra),
             repeats,
         )
-        identical = _serialized(legacy_result) == _serialized(columnar_result)
+        identical = _serialized(reference_result) == _serialized(
+            columnar_result
+        )
         scenarios[name] = {
             "requests": policy_n,
-            "legacy_s": round(legacy_s, 4),
+            "reference_s": round(reference_s, 4),
             "columnar_s": round(columnar_s, 4),
-            "speedup": round(legacy_s / columnar_s, 3),
+            "speedup": round(reference_s / columnar_s, 3),
             "columnar_krps": round(policy_n / columnar_s / KILO, 1),
             "identical": identical,
         }
@@ -276,8 +279,9 @@ def run_bench(
                 lru_columnar_s / columnar_s, 3
             )
         progress(
-            f"{name}: legacy {legacy_s:.2f}s, columnar {columnar_s:.2f}s "
-            f"({legacy_s / columnar_s:.2f}x, identical={identical})"
+            f"{name}: reference {reference_s:.2f}s, columnar "
+            f"{columnar_s:.2f}s ({reference_s / columnar_s:.2f}x, "
+            f"identical={identical})"
         )
         if profile_dir is not None:
             profiles[name] = _profile_scenario(
@@ -286,6 +290,7 @@ def run_bench(
                 profile_dir,
                 progress,
             )
+    del reference_trace
 
     # -- deep-timeline OPG -------------------------------------------------
     # The same request count on DEEP_DISKS disks instead of 20: per-disk
@@ -298,23 +303,25 @@ def run_bench(
     )
     deep_common = {**COMMON, "num_disks": DEEP_DISKS}
     progress(f"opg_deep: {policy_n:,} requests on {DEEP_DISKS} disks ...")
-    deep_legacy = generate_synthetic_trace(deep_cfg)
     deep_trace = generate_synthetic_trace_columnar(deep_cfg)
-    legacy_s, legacy_result = _timed(
-        lambda: run_simulation(deep_legacy, "opg", theta=0.0, **deep_common),
+    deep_reference = deep_trace.to_requests()
+    reference_s, reference_result = _timed(
+        lambda: run_simulation(
+            deep_reference, "opg", theta=0.0, **deep_common
+        ),
         repeats,
     )
     columnar_s, columnar_result = _timed(
         lambda: run_simulation(deep_trace, "opg", theta=0.0, **deep_common),
         repeats,
     )
-    identical = _serialized(legacy_result) == _serialized(columnar_result)
+    identical = _serialized(reference_result) == _serialized(columnar_result)
     scenarios["opg_deep"] = {
         "requests": policy_n,
         "num_disks": DEEP_DISKS,
-        "legacy_s": round(legacy_s, 4),
+        "reference_s": round(reference_s, 4),
         "columnar_s": round(columnar_s, 4),
-        "speedup": round(legacy_s / columnar_s, 3),
+        "speedup": round(reference_s / columnar_s, 3),
         "columnar_krps": round(policy_n / columnar_s / KILO, 1),
         "identical": identical,
     }
@@ -327,8 +334,9 @@ def run_bench(
             lru_columnar_s / columnar_s, 3
         )
     progress(
-        f"opg_deep: legacy {legacy_s:.2f}s, columnar {columnar_s:.2f}s "
-        f"({legacy_s / columnar_s:.2f}x, identical={identical})"
+        f"opg_deep: reference {reference_s:.2f}s, columnar "
+        f"{columnar_s:.2f}s ({reference_s / columnar_s:.2f}x, "
+        f"identical={identical})"
     )
     if profile_dir is not None:
         profiles["opg_deep"] = _profile_scenario(
@@ -339,7 +347,7 @@ def run_bench(
             profile_dir,
             progress,
         )
-    del deep_legacy, deep_trace, legacy_result, columnar_result
+    del deep_reference, deep_trace, reference_result, columnar_result
 
     # -- LIRS on the dbms zoo trace ----------------------------------------
     # Scans push a ghost past LIRS's bound on almost every insert, so
@@ -381,11 +389,11 @@ def run_bench(
     # -- campaign fan-out --------------------------------------------------
     camp_cfg = SyntheticTraceConfig(num_requests=campaign_n, seed=TRACE_SEED)
     camp_trace = generate_synthetic_trace_columnar(camp_cfg)
-    camp_legacy = camp_trace.to_requests()
+    camp_requests = camp_trace.to_requests()
     tasks = _campaign_tasks()
     progress(f"campaign: {len(tasks)} points x {campaign_n:,} requests ...")
     pickled_s, pickled = _timed(
-        lambda: run_points(tasks, trace=camp_legacy, workers=2), repeats
+        lambda: run_points(tasks, trace=camp_requests, workers=2), repeats
     )
     shared_s, shared = _timed(
         lambda: run_points(tasks, trace=camp_trace, workers=2), repeats
@@ -422,25 +430,6 @@ def run_bench(
     return report
 
 
-def attach_before(report: dict, before: dict) -> None:
-    """Embed seed-commit measurements and per-scenario speedups.
-
-    ``before`` is the output of ``benchmarks/perf/measure_before.py``
-    run against a pre-overhaul checkout: the same traces timed through
-    the code the repository had before the hot-path work. Scenario
-    names shared with the report gain a ``speedup_vs_before`` entry
-    (before seconds / current columnar seconds).
-    """
-    report["before"] = before
-    speedups = {}
-    for name, measured in before.get("scenarios", {}).items():
-        current = report["scenarios"].get(name)
-        if current is None or "columnar_s" not in current:
-            continue
-        speedups[name] = round(measured["seconds"] / current["columnar_s"], 3)
-    report["speedup_vs_before"] = speedups
-
-
 def check_regression(
     report: dict, baseline: dict, tolerance: float
 ) -> list[str]:
@@ -450,8 +439,8 @@ def check_regression(
     scenario regresses when its current speedup falls more than
     ``tolerance`` (fractional) below the baseline's, when its
     throughput relative to the plain-LRU loop (``krps_vs_lru``) falls
-    below the baseline's by the same margin, or when the two trace
-    representations stopped producing identical results. Both gated
+    below the baseline's by the same margin, or when the reference and
+    columnar paths stopped producing identical results. Both gated
     ratios compare two timings from the same process, so they hold
     steady across machines where absolute wall times do not.
 
@@ -481,7 +470,7 @@ def check_regression(
                 )
     for name, current in report["scenarios"].items():
         if current.get("identical") is False:
-            failures.append(f"{name}: legacy and columnar results differ")
+            failures.append(f"{name}: reference and columnar results differ")
         base = baseline.get("scenarios", {}).get(name)
         if base is None:
             continue
@@ -513,11 +502,6 @@ def main(args) -> int:
     report = run_bench(
         small=args.small, progress=print, profile_dir=profile_dir
     )
-
-    if args.before is not None:
-        attach_before(report, json.loads(Path(args.before).read_text()))
-        for name, speedup in report["speedup_vs_before"].items():
-            print(f"{name}: {speedup:.2f}x vs pre-overhaul baseline")
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")

@@ -126,9 +126,9 @@ class OfflinePolicy(ReplacementPolicy):
         stable lexsort (:func:`repro.core.kernels.next_access_arrays`)
         instead of the reverse Python loop. Returns ``True`` when the
         vectorized path ran; falls back to :meth:`prepare` over the
-        expanded access stream (and returns ``False``) when numpy is
-        unavailable or the trace has multi-block requests (whose
-        per-block expansion the kernels do not model).
+        expanded access stream (and returns ``False``) when the trace
+        has multi-block requests (whose per-block expansion the kernels
+        do not model).
 
         Only ``_next_time`` is materialized as a Python list eagerly
         (the fused loops iterate it directly); ``_times``, ``_keys``,
@@ -139,9 +139,7 @@ class OfflinePolicy(ReplacementPolicy):
         """
         from repro.core import kernels
 
-        if not kernels.have_numpy() or (
-            len(trace) and not bool((trace.nblocks == 1).all())
-        ):
+        if len(trace) and not bool((trace.nblocks == 1).all()):
             self.prepare(trace.iter_accesses())
             return False
         next_pos, next_time, first_mask = kernels.next_access_arrays(

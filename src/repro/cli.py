@@ -384,11 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="allowed fractional speedup drop for --check (default 0.25)",
     )
     bench.add_argument(
-        "--before", default=None, metavar="JSON",
-        help="embed pre-overhaul measurements "
-        "(benchmarks/perf/measure_before.py output) in the report",
-    )
-    bench.add_argument(
         "--profile", action="store_true",
         help="re-run each scenario's hot leg under cProfile and write "
         "profile_<scenario>.pstats next to the report",
@@ -593,7 +588,7 @@ def _cmd_compare(args) -> int:
 def _cmd_reproduce(args) -> int:
     """The paper's headline results, compactly."""
     from repro.analysis.figures import belady_counterexample
-    from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+    from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 
     quick = getattr(args, "quick", False)
     duration = 2400.0 if quick else 7200.0
@@ -614,7 +609,7 @@ def _cmd_reproduce(args) -> int:
         f"Figure 6(a) — OLTP energy normalized to LRU "
         f"({duration / MINUTE:.0f}-minute trace, Practical DPM)"
     )
-    trace = generate_oltp_trace(OLTPTraceConfig(duration_s=duration))
+    trace = generate_oltp_trace_columnar(OLTPTraceConfig(duration_s=duration))
     policies = ("infinite", "belady", "opg", "lru", "pa-lru")
     results = {
         p: run_simulation(

@@ -67,18 +67,13 @@ class IntervalHistogram:
 
         Equivalent to calling :meth:`add` per value, but binned with
         one vectorized histogram pass
-        (:func:`repro.core.kernels.histogram_counts`) when numpy is
-        available — the fused PA path buffers an epoch's intervals and
-        flushes them here.
+        (:func:`repro.core.kernels.histogram_counts`) — the fused PA
+        path buffers an epoch's intervals and flushes them here.
         """
         if not len(intervals):
             return
         from repro.core import kernels
 
-        if not kernels.have_numpy():
-            for value in intervals:
-                self.add(value)
-            return
         if min(intervals) < 0:
             raise ValueError("intervals must be >= 0")
         batched = kernels.histogram_counts(self.edges, intervals)

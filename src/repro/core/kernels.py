@@ -25,7 +25,7 @@ approximately equal. The property suite
 (``tests/property/test_kernel_equivalence.py``) pins each one against
 its straightforward scalar reference over randomized inputs, and the
 differential suite (``tests/sim/test_kernel_differential.py``) pins the
-fused engine loops built on them against the legacy per-object path.
+fused engine loops built on them against the reference per-object path.
 
 Kernels are registered by the :func:`batch_kernel` decorator and must
 be enumerated in ``FAST_PATH_AUDITED["BatchKernel"]``
@@ -39,10 +39,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-try:  # numpy is the preferred backend, but never a hard requirement
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 #: ``name -> function`` for every :func:`batch_kernel`-decorated kernel.
 BATCH_KERNELS: dict[str, Callable] = {}
@@ -56,11 +53,6 @@ def batch_kernel(fn: Callable) -> Callable:
     """
     BATCH_KERNELS[fn.__name__] = fn
     return fn
-
-
-def have_numpy() -> bool:
-    """Whether the numpy backend (and thus the fused paths) is usable."""
-    return np is not None
 
 
 # -- Bloom filter ---------------------------------------------------------

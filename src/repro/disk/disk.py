@@ -244,7 +244,7 @@ class SimulatedDisk:
         """Single-block fast path; returns ``(response_time_s, wake_delay_s)``.
 
         Semantically identical to ``submit(arrival, block, 1, is_write)``
-        — the columnar/legacy equivalence tests pin this bit for bit —
+        — the columnar/reference equivalence tests pin this bit for bit —
         but with the service-time math and the short-gap idle accounting
         inlined, and no :class:`DiskResponse` allocated. Falls back to
         :meth:`submit` whenever a probe or fault injector is attached so

@@ -34,10 +34,10 @@ from repro.serve.protocol import (
     format_request,
     parse_response_line,
 )
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
+    generate_synthetic_trace_columnar,
 )
 
 WORKLOADS = ("zipf", "oltp")
@@ -123,7 +123,7 @@ def generate_workload(config: LoadConfig) -> list[tuple]:
     in trace order; ``time`` is ``None`` in wall mode.
     """
     if config.workload == "zipf":
-        trace = generate_synthetic_trace(
+        trace = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(
                 num_requests=config.requests,
                 num_disks=config.num_disks,
@@ -137,7 +137,7 @@ def generate_workload(config: LoadConfig) -> list[tuple]:
             duration_s=max(config.requests * 0.099 * 1.5, 60.0),
             seed=config.seed,
         )
-        trace = generate_oltp_trace(oltp)
+        trace = generate_oltp_trace_columnar(oltp)
         if len(trace) < config.requests:
             raise ConfigurationError(
                 f"OLTP generator produced {len(trace)} requests, "
@@ -146,11 +146,11 @@ def generate_workload(config: LoadConfig) -> list[tuple]:
         trace = trace[: config.requests]
     base = config.explicit_time_base
     items = []
-    for i, req in enumerate(trace):
-        stamp = None if base is None else base + req.time
-        items.append(
-            (f"r{i}", req.disk, req.block, req.nblocks, req.is_write, stamp)
-        )
+    for i, (time, disk, block, nblocks, is_write) in enumerate(
+        zip(*trace.as_lists())
+    ):
+        stamp = None if base is None else base + time
+        items.append((f"r{i}", disk, block, nblocks, is_write, stamp))
     return items
 
 

@@ -9,10 +9,10 @@ from netcat, a shell loop, or the bundled load generator:
     PING
 
 ``id`` is an opaque client token echoed back in the response; the
-optional ``t=`` field pins an explicit simulated arrival time (it must
-not precede the daemon's stamp watermark — used by deterministic
-drivers like the smoke harness), otherwise the daemon stamps the
-request from its lockstep clock. Responses:
+optional ``t=`` field pins an explicit simulated arrival time (finite,
+``>= 0``, and not before the daemon's stamp watermark — used by
+deterministic drivers like the smoke harness), otherwise the daemon
+stamps the request from its lockstep clock. Responses:
 
 .. code-block:: text
 
@@ -29,6 +29,7 @@ body is parsed line by line and the response body carries the matching
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.errors import ServeError
 from repro.traces.record import IORequest
@@ -83,8 +84,10 @@ def parse_request_line(line: str) -> IngestLine:
             explicit_time = float(rest[-1][2:])
         except ValueError as exc:
             raise ServeError(f"bad explicit time in {line!r}") from exc
-        if explicit_time < 0:
-            raise ServeError(f"explicit time must be >= 0 in {line!r}")
+        if not 0.0 <= explicit_time < inf:
+            raise ServeError(
+                f"explicit time must be finite and >= 0 in {line!r}"
+            )
         rest = rest[:-1]
     if len(rest) < 2 or len(rest) > 4:
         raise ServeError(f"malformed {VERB_REQ} line {line!r}")

@@ -62,7 +62,7 @@ from repro.traces.record import IORequest, iter_accesses
 #: asserts it has been audited for bit-identity between the inlined
 #: fast paths (``_run_columnar_fast`` below, ``SimulatedDisk.
 #: submit_quick``, the memoized DPM tables) and the polymorphic loop —
-#: i.e. the columnar/legacy equivalence tests and ``repro bench
+#: i.e. the columnar/reference equivalence tests and ``repro bench
 #: --check`` cover it. When you add a subclass, run those, then add its
 #: name; the checker fails the build until you do.
 #:
@@ -327,7 +327,7 @@ class StorageSimulator:
         order; the plain-counter statistics are kept in locals and
         folded into ``CacheStats`` once at the end (integer addition
         commutes, and nothing reads the counters mid-run). The
-        columnar/legacy equivalence tests pin the results bit for bit.
+        columnar/reference equivalence tests pin the results bit for bit.
         """
         cache = self.cache
         policy = self.policy
@@ -490,13 +490,13 @@ class StorageSimulator:
         subclass could override any hook), a single-block trace (the
         kernels model one access per request), no prefetcher (prefetch
         admissions would desynchronize the precomputed Bloom/next-access
-        plans), and a numpy backend. The OPG loop additionally requires
+        plans). The OPG loop additionally requires
         a write policy that never pins blocks (``pins_blocks``): it
         inlines eviction without the pinned-block ``_make_room``
         fallback. Anything else takes the generic
         ``_run_columnar_fast`` with polymorphic policy calls.
         """
-        if self.prefetcher is not None or not kernels.have_numpy():
+        if self.prefetcher is not None:
             return None
         if len(trace) and not bool((trace.nblocks == 1).all()):
             return None

@@ -14,12 +14,8 @@ importers (blktrace text, iostat reports) in
 """
 
 from repro.traces.arrivals import ExponentialArrivals, ParetoArrivals
-from repro.traces.cello import (
-    CelloTraceConfig,
-    generate_cello_trace,
-    generate_cello_trace_columnar,
-)
-from repro.traces.columnar import ColumnarTrace, SharedTraceDescriptor, as_columnar
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
+from repro.traces.columnar import ColumnarTrace, SharedTraceDescriptor
 from repro.traces.fingerprint import trace_fingerprint
 from repro.traces.ingest import (
     IMPORT_FORMATS,
@@ -29,17 +25,12 @@ from repro.traces.ingest import (
     sniff_format,
 )
 from repro.traces.locality import SpatialModel, ZipfStackModel
-from repro.traces.oltp import (
-    OLTPTraceConfig,
-    generate_oltp_trace,
-    generate_oltp_trace_columnar,
-)
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.traces.record import IORequest, expand_accesses, iter_accesses
 from repro.traces.stats import TraceCharacteristics, characterize
 from repro.traces.streaming import TraceBuilder, build_columnar
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 from repro.traces.zoo import (
@@ -83,17 +74,13 @@ __all__ = [
     "WORKLOADS",
     "ZOO_WORKLOADS",
     "ZipfStackModel",
-    "as_columnar",
     "build_columnar",
     "characterize",
     "expand_accesses",
     "generate_cdn_trace",
-    "generate_cello_trace",
     "generate_cello_trace_columnar",
     "generate_dbms_trace",
-    "generate_oltp_trace",
     "generate_oltp_trace_columnar",
-    "generate_synthetic_trace",
     "generate_synthetic_trace_columnar",
     "generate_tenant_trace",
     "import_to_csv",

@@ -33,7 +33,6 @@ from repro.errors import ConfigurationError
 from repro.traces.arrivals import ParetoArrivals
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.locality import ZipfStackModel
-from repro.traces.record import IORequest
 from repro.traces.streaming import TraceRow, build_columnar
 from repro.units import DEFAULT_BLOCK_SIZE, GIB
 
@@ -81,8 +80,8 @@ def iter_cello_rows(
 ) -> Iterator[TraceRow]:
     """The Cello96 generation loop as a streaming row source (DESIGN §14).
 
-    Draw order is part of the trace's identity, so both public
-    generators funnel through this one loop.
+    Draw order is part of the trace's identity: tests pin the generated
+    trace's fingerprint per seed.
     """
     rng = np.random.default_rng(config.seed)
     disk_blocks = config.disk_size_bytes // config.block_size
@@ -126,22 +125,9 @@ def iter_cello_rows(
         heapq.heappush(heap, (time + processes[disk].next_gap(), disk))
 
 
-def generate_cello_trace(
-    config: CelloTraceConfig = CelloTraceConfig(),
-) -> list[IORequest]:
-    """Generate the Cello96-like trace (deterministic given the seed)."""
-    return [
-        IORequest(time=t, disk=d, block=b, is_write=w)
-        for t, d, b, _, w in iter_cello_rows(config)
-    ]
-
-
 def generate_cello_trace_columnar(
     config: CelloTraceConfig = CelloTraceConfig(),
 ) -> ColumnarTrace:
-    """:func:`generate_cello_trace` streamed straight into columns.
-
-    Same seed, same draws, same requests — an equivalence test pins the
-    two representations to identical fingerprints.
-    """
+    """Generate the Cello96-like trace (deterministic given the seed),
+    streamed straight into columns."""
     return build_columnar(iter_cello_rows(config))

@@ -1,20 +1,20 @@
 """Columnar (struct-of-arrays) trace representation.
 
-The object-per-request trace (``list[IORequest]``) is convenient but
-expensive at scale: a million requests is a million frozen dataclass
-instances, and every simulation pass pays an attribute lookup per field
-per request. :class:`ColumnarTrace` stores the same five fields as five
-parallel columns — ``times``, ``disks``, ``blocks``, ``nblocks``,
-``is_write`` — backed by ``numpy`` arrays when numpy is importable and
-by :mod:`array` arrays otherwise.
+Every generated, imported, loaded or saved trace is a
+:class:`ColumnarTrace`: the five request fields as five parallel numpy
+columns — ``times``, ``disks``, ``blocks``, ``nblocks``, ``is_write``.
+A million requests is five arrays, not a million frozen
+:class:`~repro.traces.record.IORequest` instances that every simulation
+pass reads one attribute at a time.
 
 The simulation engine (:class:`repro.sim.engine.StorageSimulator`)
-detects a :class:`ColumnarTrace` and drives its hot loop straight off
+detects a :class:`ColumnarTrace` and drives its fast loops straight off
 the columns, skipping :class:`~repro.traces.record.IORequest`
-construction entirely. Everything else keeps working unchanged: a
-:class:`ColumnarTrace` quacks like a sequence of requests
-(``len``, indexing, iteration, slicing), so fingerprinting, statistics,
-and the legacy engine path all accept one.
+construction entirely. A :class:`ColumnarTrace` also quacks like a
+sequence of requests (``len``, indexing, iteration, slicing), so
+fingerprinting and statistics accept one; :meth:`ColumnarTrace.to_requests`
+materializes the ``list[IORequest]`` that drives the per-object
+``handle_request`` reference loop.
 
 Columns can also be exported into a :mod:`multiprocessing.shared_memory`
 segment (:meth:`ColumnarTrace.share`) so campaign workers attach
@@ -25,26 +25,23 @@ zero-copy instead of each receiving a pickled copy of the trace — see
 from __future__ import annotations
 
 import csv
-from array import array
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.traces.record import IORequest
 
-try:  # numpy is the preferred backend, but never a hard requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-#: (field name, numpy dtype, array typecode) for each column, in order.
+#: (field name, numpy dtype) for each column, in order.
 _COLUMNS = (
-    ("times", "<f8", "d"),
-    ("disks", "<i8", "q"),
-    ("blocks", "<i8", "q"),
-    ("nblocks", "<i8", "q"),
-    ("is_write", "|b1", "b"),
+    ("times", "<f8"),
+    ("disks", "<i8"),
+    ("blocks", "<i8"),
+    ("nblocks", "<i8"),
+    ("is_write", "|b1"),
 )
 
 _CSV_HEADER = ["time", "disk", "block", "nblocks", "op"]
@@ -61,7 +58,7 @@ class SharedTraceDescriptor:
 
     shm_name: str
     length: int
-    #: (field, dtype/typecode, byte offset, byte length) per column.
+    #: (field, dtype, byte offset, byte length) per column.
     layout: tuple[tuple[str, str, int, int], ...]
 
 
@@ -70,8 +67,8 @@ class ColumnarTrace:
 
     Args:
         times / disks / blocks / nblocks / is_write: Equal-length
-            columns. Accepted as numpy arrays, :mod:`array` arrays, or
-            plain sequences (converted to the active backend).
+            columns, as numpy arrays (kept as they are when the dtype
+            already matches) or plain sequences (converted).
 
     Use the classmethods for the common constructions:
     :meth:`from_requests`, :meth:`from_csv`, :meth:`from_shared`.
@@ -86,8 +83,8 @@ class ColumnarTrace:
             raise TraceError(
                 f"columns must have equal lengths, got {sorted(lengths)}"
             )
-        for (name, dtype, typecode), value in zip(_COLUMNS, columns):
-            setattr(self, name, _as_column(value, dtype, typecode))
+        for (name, dtype), value in zip(_COLUMNS, columns):
+            setattr(self, name, np.asarray(value, dtype=dtype))
         self._shm = None
 
     # -- constructors -----------------------------------------------------
@@ -112,12 +109,12 @@ class ColumnarTrace:
     def from_csv(cls, path: str | Path) -> "ColumnarTrace":
         """Load a trace CSV (``repro generate`` format) into columns.
 
-        The one trace-CSV parser (:func:`repro.traces.io.load_trace`
-        wraps it). Builds the columns directly — no intermediate
-        :class:`IORequest` objects — and rejects a bad header, a row
-        without five fields, an op other than ``R``/``W``, a negative
-        time/disk/block, ``nblocks < 1`` and out-of-order times, each
-        with its ``path:line``.
+        The one trace-CSV parser. Builds the columns directly — no
+        intermediate :class:`IORequest` objects — and rejects a bad
+        header, a row without five fields, an op other than ``R``/``W``,
+        a time that is not finite and ``>= 0``, a negative disk/block,
+        ``nblocks < 1`` and out-of-order times, each with its
+        ``path:line``.
         """
         times: list[float] = []
         disks: list[int] = []
@@ -147,7 +144,10 @@ class ColumnarTrace:
                     op = row[4].strip().upper()
                     if op not in ("R", "W"):
                         raise ValueError(f"bad op {row[4]!r}")
-                    if time < 0 or disk < 0 or block < 0 or count < 1:
+                    if (
+                        not 0.0 <= time < inf
+                        or disk < 0 or block < 0 or count < 1
+                    ):
                         raise ValueError(
                             f"bad record ({time}, {disk}, {block}, {count})"
                         )
@@ -192,7 +192,7 @@ class ColumnarTrace:
         return self.iter_requests()
 
     def iter_requests(self) -> Iterator[IORequest]:
-        """Yield each record as an :class:`IORequest` (adapter path)."""
+        """Yield each record as an :class:`IORequest`."""
         for time, disk, block, count, write in zip(*self.as_lists()):
             yield IORequest(
                 time=time, disk=disk, block=block,
@@ -220,22 +220,26 @@ class ColumnarTrace:
         scalar types never leak into the simulation.
         """
         return (
-            _to_list(self.times, float),
-            _to_list(self.disks, int),
-            _to_list(self.blocks, int),
-            _to_list(self.nblocks, int),
-            _to_list(self.is_write, bool),
+            self.times.tolist(),
+            self.disks.tolist(),
+            self.blocks.tolist(),
+            self.nblocks.tolist(),
+            self.is_write.tolist(),
         )
 
     def to_requests(self) -> list[IORequest]:
-        """Materialize the legacy object-per-request representation."""
+        """Materialize the object-per-request form.
+
+        A ``list[IORequest]`` is how a caller asks the engine for the
+        per-object ``handle_request`` reference loop instead of the
+        columnar fast loops.
+        """
         return list(self.iter_requests())
 
     def validate(self) -> None:
         """Check time-ordering; raises :class:`TraceError` on violations.
 
-        Vectorized under numpy; mirrors
-        :func:`repro.traces.record.validate_trace`.
+        Vectorized; mirrors :func:`repro.traces.record.validate_trace`.
         """
         index = self.first_disorder()
         if index is not None:
@@ -247,17 +251,8 @@ class ColumnarTrace:
     def first_disorder(self) -> int | None:
         """Index of the first out-of-order record, or ``None``."""
         times = self.times
-        if len(times) < 2:
-            return None
-        if _np is not None and isinstance(times, _np.ndarray):
-            bad = _np.flatnonzero(times[1:] < times[:-1])
-            return int(bad[0]) + 1 if bad.size else None
-        previous = times[0]
-        for i in range(1, len(times)):
-            if times[i] < previous:
-                return i
-            previous = times[i]
-        return None
+        bad = np.flatnonzero(times[1:] < times[:-1])
+        return int(bad[0]) + 1 if bad.size else None
 
     # -- shared memory ----------------------------------------------------
 
@@ -276,7 +271,7 @@ class ColumnarTrace:
         layout = []
         offset = 0
         buffers = []
-        for name, dtype, typecode in _COLUMNS:
+        for name, dtype in _COLUMNS:
             raw = getattr(self, name).tobytes()
             layout.append((name, dtype, offset, len(raw)))
             buffers.append(raw)
@@ -293,8 +288,7 @@ class ColumnarTrace:
     def from_shared(cls, descriptor: SharedTraceDescriptor) -> "ColumnarTrace":
         """Attach to a segment created by :meth:`share` (zero-copy).
 
-        Under numpy the columns are views straight onto the shared
-        buffer; the fallback backend copies into local arrays. The
+        The columns are views straight onto the shared buffer. The
         returned trace holds the attachment open — call :meth:`close`
         when done (the segment's creator does the ``unlink``).
         """
@@ -325,65 +319,24 @@ class ColumnarTrace:
         finally:
             if original_register is not None:
                 resource_tracker.register = original_register
-        columns = {}
-        copy = _np is None
-        for name, dtype, offset, nbytes in descriptor.layout:
-            if _np is not None:
-                count = descriptor.length
-                columns[name] = _np.frombuffer(
-                    shm.buf, dtype=dtype, count=count, offset=offset
-                )
-            else:
-                typecode = {d: t for _, d, t in _COLUMNS}[dtype]
-                local = array(typecode)
-                local.frombytes(bytes(shm.buf[offset:offset + nbytes]))
-                columns[name] = local
+        columns = {
+            name: np.frombuffer(
+                shm.buf, dtype=dtype, count=descriptor.length, offset=offset
+            )
+            for name, dtype, offset, _ in descriptor.layout
+        }
         trace = cls(**columns)
-        if copy:
-            shm.close()
-        else:
-            trace._shm = shm
+        trace._shm = shm
         return trace
 
     def close(self) -> None:
         """Release a shared-memory attachment (no-op otherwise)."""
         if self._shm is not None:
             # Views must drop their buffer references before close().
-            for name, _, _ in _COLUMNS:
+            for name, _ in _COLUMNS:
                 setattr(self, name, getattr(self, name).copy())
             self._shm.close()
             self._shm = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backend = "numpy" if (
-            _np is not None and isinstance(self.times, _np.ndarray)
-        ) else "array"
-        return f"ColumnarTrace(n={len(self)}, backend={backend})"
-
-
-def _as_column(value, dtype: str, typecode: str):
-    """Coerce ``value`` into the active backend's column type."""
-    if _np is not None:
-        if isinstance(value, _np.ndarray) and value.dtype == _np.dtype(dtype):
-            return value
-        return _np.asarray(value, dtype=dtype)
-    if isinstance(value, array) and value.typecode == typecode:
-        return value
-    if typecode == "b":
-        return array(typecode, [1 if v else 0 for v in value])
-    return array(typecode, value)
-
-
-def _to_list(column, cast) -> list:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.tolist()  # native Python scalars, C-speed
-    if cast is bool:
-        return [bool(v) for v in column]
-    return list(column)
-
-
-def as_columnar(trace: Sequence[IORequest] | ColumnarTrace) -> ColumnarTrace:
-    """Coerce any trace into columnar form (no-op if already columnar)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_requests(trace)
+        return f"ColumnarTrace(n={len(self)})"

@@ -24,6 +24,8 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
+import numpy as np
+
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
 from repro.units import US_PER_S
@@ -41,21 +43,13 @@ def _record_token(req: IORequest) -> bytes:
 
 
 def _columnar_aggregates(trace: ColumnarTrace):
-    """Vectorized aggregate pass for numpy-backed columnar traces.
+    """Vectorized aggregate pass for columnar traces.
 
     uint64 arithmetic wraps modulo 2**64, which is exactly the
     ``& _MASK`` reduction of the scalar loop; per-element ``int(t*1e6)``
     is an ``astype(int64)`` truncation for the non-negative times a
-    valid trace carries. Returns ``None`` when the columns are not
-    numpy arrays (the ``array`` fallback), sending the caller down the
-    scalar loop.
+    valid trace carries.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a soft dependency
-        return None
-    if not isinstance(trace.blocks, np.ndarray):
-        return None
     n = len(trace)
     positions = np.arange(1, n + 1, dtype=np.uint64)
     one = np.uint64(1)
@@ -90,13 +84,10 @@ def trace_fingerprint(trace: Sequence[IORequest] | ColumnarTrace) -> str:
     """
     digest = hashlib.sha256()
     n = len(trace)
-    aggregates = (
-        _columnar_aggregates(trace)
-        if n and isinstance(trace, ColumnarTrace)
-        else None
-    )
-    if aggregates is not None:
-        writes, volume, block_sum, disk_sum, time_sum_us = aggregates
+    if n and isinstance(trace, ColumnarTrace):
+        writes, volume, block_sum, disk_sum, time_sum_us = (
+            _columnar_aggregates(trace)
+        )
     else:
         writes = 0
         volume = 0

@@ -12,8 +12,8 @@ a time).
 Normalization rules (DESIGN §14):
 
 * **time rebasing** — the first kept event becomes ``t = 0``; input
-  timestamps must be non-decreasing (the importer reports the offending
-  line rather than silently reordering);
+  timestamps must be finite, ``>= 0`` and non-decreasing (the importer
+  reports the offending line rather than silently reordering);
 * **disk-id compaction** — ``major,minor`` pairs (blktrace) or device
   names (iostat) are mapped to dense disk ids in first-seen order;
 * **sector→block remapping** — blktrace sector offsets (512-byte
@@ -42,21 +42,20 @@ energy model, which cares about arrival gaps, not addresses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Iterator
 
 from repro.errors import ConfigurationError, TraceError
 from repro.traces.columnar import ColumnarTrace
+from repro.traces.io import write_rows
 from repro.traces.streaming import TraceRow, build_columnar
 from repro.units import DEFAULT_BLOCK_SIZE, KIB, SECTOR_SIZE
 
 #: blktrace ``rwbs`` flags that describe non-data requests we skip
 #: (flush/barrier, discard, none) rather than reject.
 _RWBS_SKIP = frozenset("FDN")
-
-_CSV_HEADER = ("time", "disk", "block", "nblocks", "op")
 
 
 class ImportStats:
@@ -153,6 +152,11 @@ def iter_blktrace_rows(
                 raise TraceError(
                     f"{path}:{line_no}: bad timestamp {fields[3]!r}"
                 ) from None
+            if not 0.0 <= time < inf:
+                raise TraceError(
+                    f"{path}:{line_no}: timestamp {fields[3]!r} is not "
+                    "finite and >= 0"
+                )
             try:
                 sector = int(fields[7])
                 nsectors = int(fields[9])
@@ -322,6 +326,12 @@ def iter_iostat_rows(
                 raise TraceError(f"{path}:{line_no}: {exc}") from exc
             if len(values) < 1:
                 raise TraceError(f"{path}:{line_no}: truncated iostat row")
+            for token, value in zip(fields[1:], values):
+                if not 0.0 <= value < inf:
+                    raise TraceError(
+                        f"{path}:{line_no}: rate {token!r} is not finite "
+                        "and >= 0"
+                    )
             pending.append((fields[0], values))
     if in_block and sample > 0:
         yield from _interval_rows(
@@ -409,21 +419,7 @@ def import_to_csv(
     """
     stats = ImportStats()
     resolved, rows = _make_rows(src, fmt, block_size, interval_s, stats)
-    count = 0
-    with open(dst, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for time, disk, block, nblocks, is_write in rows:
-            writer.writerow(
-                [
-                    repr(float(time)),
-                    disk,
-                    block,
-                    nblocks,
-                    "W" if is_write else "R",
-                ]
-            )
-            count += 1
+    count = write_rows(rows, dst)
     return _summary(resolved, stats, trace_len=count)
 
 

@@ -7,43 +7,48 @@ the exact :func:`~repro.traces.fingerprint.trace_fingerprint`, which
 the campaign result cache uses as its identity key. (An earlier format
 quantized times to microseconds, which silently changed fingerprints
 across a round trip and defeated that cache.)
+
+:meth:`ColumnarTrace.from_csv` is the one parser; :func:`write_rows` is
+the one writer, shared by :func:`save_trace` and the streaming importer
+(:func:`repro.traces.ingest.import_to_csv`).
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from repro.traces.columnar import _CSV_HEADER, ColumnarTrace
-from repro.traces.record import IORequest, validate_trace
+from repro.traces.streaming import TraceRow
 
 
-def save_trace(trace: Sequence[IORequest], path: str | Path) -> None:
-    """Write a trace to ``path`` as CSV (round-trip exact)."""
-    validate_trace(trace)
+def write_rows(rows: Iterable[TraceRow], path: str | Path) -> int:
+    """Write ``(time, disk, block, nblocks, is_write)`` rows as a trace
+    CSV at ``path``, streaming; returns the row count."""
+    count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for req in trace:
+        for time, disk, block, nblocks, is_write in rows:
             writer.writerow(
                 [
-                    repr(float(req.time)),
-                    req.disk,
-                    req.block,
-                    req.nblocks,
-                    "W" if req.is_write else "R",
+                    repr(float(time)),
+                    disk,
+                    block,
+                    nblocks,
+                    "W" if is_write else "R",
                 ]
             )
+            count += 1
+    return count
 
 
-def load_trace(path: str | Path) -> list[IORequest]:
-    """Read a trace written by :func:`save_trace` as request objects.
-
-    Parsing and validation are :meth:`ColumnarTrace.from_csv`'s; load
-    the columns directly when no caller needs the objects.
+def save_trace(trace: ColumnarTrace, path: str | Path) -> None:
+    """Write a trace to ``path`` as CSV (round-trip exact).
 
     Raises:
-        TraceError: On malformed headers, rows, or time ordering.
+        TraceError: If the trace is not time-ordered.
     """
-    return ColumnarTrace.from_csv(path).to_requests()
+    trace.validate()
+    write_rows(zip(*trace.as_lists()), path)

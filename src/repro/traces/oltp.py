@@ -38,7 +38,6 @@ from repro.errors import ConfigurationError
 from repro.traces.arrivals import ExponentialArrivals, ParetoArrivals
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.locality import ZipfPopularity
-from repro.traces.record import IORequest
 from repro.traces.streaming import TraceRow, build_columnar
 from repro.units import DEFAULT_BLOCK_SIZE, GIB, HOUR
 
@@ -100,7 +99,7 @@ def iter_oltp_rows(
     disks, Pareto for cool — bursty traffic with a floor on gap length
     is what gives cool disks parkable idle periods); the per-disk
     streams are merged by time. Draw order is part of the trace's
-    identity, so both public generators funnel through this one loop.
+    identity: tests pin the generated trace's fingerprint per seed.
     """
     rng = np.random.default_rng(config.seed)
     disk_blocks = config.disk_size_bytes // config.block_size
@@ -152,22 +151,9 @@ def iter_oltp_rows(
         heapq.heappush(heap, (time + processes[disk].next_gap(), disk))
 
 
-def generate_oltp_trace(
-    config: OLTPTraceConfig = OLTPTraceConfig(),
-) -> list[IORequest]:
-    """Generate the OLTP-like trace (deterministic given ``config.seed``)."""
-    return [
-        IORequest(time=t, disk=d, block=b, is_write=w)
-        for t, d, b, _, w in iter_oltp_rows(config)
-    ]
-
-
 def generate_oltp_trace_columnar(
     config: OLTPTraceConfig = OLTPTraceConfig(),
 ) -> ColumnarTrace:
-    """:func:`generate_oltp_trace` streamed straight into columns.
-
-    Same seed, same draws, same requests — an equivalence test pins the
-    two representations to identical fingerprints.
-    """
+    """Generate the OLTP-like trace (deterministic given ``config.seed``),
+    streamed straight into columns."""
     return build_columnar(iter_oltp_rows(config))

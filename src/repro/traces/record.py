@@ -9,6 +9,7 @@ OLTP trace is block-level I/O from SQL Server to the storage system).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 from repro.cache.block import BlockKey
@@ -26,8 +27,10 @@ class IORequest:
     is_write: bool = False
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise TraceError(f"request time must be >= 0, got {self.time}")
+        if not 0.0 <= self.time < inf:
+            raise TraceError(
+                f"request time must be finite and >= 0, got {self.time}"
+            )
         if self.disk < 0:
             raise TraceError(f"disk id must be >= 0, got {self.disk}")
         if self.block < 0:

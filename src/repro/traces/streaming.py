@@ -5,9 +5,8 @@ a :class:`~repro.traces.columnar.ColumnarTrace`. Building one through a
 ``list[IORequest]`` costs an object, five boxed fields, and a list slot
 per request — at 10M requests that is gigabytes of transient heap for a
 trace whose columnar form is ~330 MB. :class:`TraceBuilder` removes the
-boxed intermediate: rows are appended straight into fixed-size column
-chunks (numpy arrays when numpy is importable, :mod:`array` arrays
-otherwise) and concatenated once at :meth:`TraceBuilder.build`.
+boxed intermediate: rows are appended straight into fixed-size numpy
+column chunks and concatenated once at :meth:`TraceBuilder.build`.
 
 The streaming generator protocol (DESIGN §14) is deliberately tiny: a
 workload family is a function yielding ``(time, disk, block, nblocks,
@@ -19,16 +18,13 @@ objects survive past the yield.
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterable, Iterator, Tuple
+from math import inf
+from typing import Iterable, Tuple
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.traces.columnar import ColumnarTrace
-
-try:  # numpy is the preferred backend, but never a hard requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 #: One streamed trace record: ``(time, disk, block, nblocks, is_write)``.
 TraceRow = Tuple[float, int, int, int, bool]
@@ -38,31 +34,28 @@ TraceRow = Tuple[float, int, int, int, bool]
 #: next to the finished columns (5 columns x 8 B x 64 Ki = 2.5 MiB).
 CHUNK_ROWS = 1 << 16
 
-#: (attribute order, numpy dtype, array typecode) — must stay aligned
-#: with ``repro.traces.columnar._COLUMNS``.
-_DTYPES = (("<f8", "d"), ("<i8", "q"), ("<i8", "q"), ("<i8", "q"), ("|b1", "b"))
+#: Column dtypes in attribute order — must stay aligned with
+#: ``repro.traces.columnar._COLUMNS``.
+_DTYPES = ("<f8", "<i8", "<i8", "<i8", "|b1")
 
 
 class TraceBuilder:
     """Accumulate trace rows into column chunks; finalize with :meth:`build`.
 
-    Appends validate the trace invariants as they stream — non-negative
-    fields and non-decreasing times — so a malformed source fails at the
-    offending row, not after an expensive full pass.
+    Appends validate the trace invariants as they stream — a finite,
+    non-negative time, non-negative fields and non-decreasing times — so
+    a malformed source fails at the offending row, not after an
+    expensive full pass.
     """
 
     __slots__ = ("_chunks", "_current", "_fill", "_count", "_last_time")
 
     def __init__(self) -> None:
         self._chunks: list[tuple] = []  # full chunks, oldest first
-        self._current = None  # in-flight chunk (numpy backend only)
+        self._current = None  # in-flight chunk
         self._fill = 0
         self._count = 0
         self._last_time = 0.0
-        if _np is None:
-            # array.array stores scalars unboxed and grows amortized
-            # O(1); it already *is* a chunked append buffer.
-            self._current = tuple(array(code) for _, code in _DTYPES)
 
     def __len__(self) -> int:
         return self._count
@@ -81,24 +74,15 @@ class TraceBuilder:
                 f"trace not time-ordered at row {self._count}: "
                 f"{time} < {self._last_time}"
             )
-        if time < 0 or disk < 0 or block < 0 or nblocks < 1:
+        if not 0.0 <= time < inf or disk < 0 or block < 0 or nblocks < 1:
             raise TraceError(
                 f"bad record at row {self._count}: "
                 f"({time}, {disk}, {block}, {nblocks})"
             )
         self._last_time = time
-        if _np is None:
-            columns = self._current
-            columns[0].append(time)
-            columns[1].append(disk)
-            columns[2].append(block)
-            columns[3].append(nblocks)
-            columns[4].append(1 if is_write else 0)
-            self._count += 1
-            return
         if self._current is None:
             self._current = tuple(
-                _np.empty(CHUNK_ROWS, dtype=dtype) for dtype, _ in _DTYPES
+                np.empty(CHUNK_ROWS, dtype=dtype) for dtype in _DTYPES
             )
             self._fill = 0
         fill = self._fill
@@ -128,12 +112,6 @@ class TraceBuilder:
         copied, so peak memory during the copy is the finished columns
         plus the largest single chunk.
         """
-        if _np is None:
-            columns = self._current
-            self._current = tuple(array(code) for _, code in _DTYPES)
-            self._count = 0
-            self._last_time = 0.0
-            return ColumnarTrace(*columns)
         parts = list(self._chunks)
         if self._current is not None:
             parts.append(tuple(c[: self._fill] for c in self._current))
@@ -143,13 +121,13 @@ class TraceBuilder:
         self._count = 0
         self._last_time = 0.0
         columns = []
-        for index, (dtype, _) in enumerate(_DTYPES):
+        for index, dtype in enumerate(_DTYPES):
             if parts:
                 columns.append(
-                    _np.concatenate([part[index] for part in parts])
+                    np.concatenate([part[index] for part in parts])
                 )
             else:
-                columns.append(_np.empty(0, dtype=dtype))
+                columns.append(np.empty(0, dtype=dtype))
         # Release each consumed chunk column promptly.
         del parts
         return ColumnarTrace(*columns)
@@ -158,9 +136,3 @@ class TraceBuilder:
 def build_columnar(rows: Iterable[TraceRow]) -> ColumnarTrace:
     """Stream ``rows`` through a :class:`TraceBuilder` into a trace."""
     return TraceBuilder().extend(rows).build()
-
-
-def iter_requests_as_rows(trace) -> Iterator[TraceRow]:
-    """Adapt a request sequence to the streaming row protocol."""
-    for req in trace:
-        yield (req.time, req.disk, req.block, req.nblocks, req.is_write)

@@ -10,7 +10,7 @@ Figure 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError
 from repro.traces.arrivals import make_arrivals
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.locality import SpatialModel, ZipfStackModel
-from repro.traces.record import IORequest
 from repro.traces.streaming import TraceRow, build_columnar
 from repro.units import DEFAULT_BLOCK_SIZE, GIB
 
@@ -68,8 +67,8 @@ def iter_synthetic_rows(
 ) -> Iterator[TraceRow]:
     """The generation loop as a streaming row source (DESIGN §14).
 
-    Draw order is part of the trace's identity (fixtures pin traces by
-    seed), so both public generators must funnel through this one loop.
+    Draw order is part of the trace's identity: fixtures pin traces by
+    seed.
     """
     rng = np.random.default_rng(config.seed)
     arrivals = make_arrivals(
@@ -110,24 +109,13 @@ def iter_synthetic_rows(
         yield (time, key[0], key[1], 1, bool(rng_random() < write_ratio))
 
 
-def generate_synthetic_trace(
-    config: SyntheticTraceConfig = SyntheticTraceConfig(),
-) -> list[IORequest]:
-    """Generate one Table 3 trace (deterministic given ``config.seed``)."""
-    return [
-        IORequest(time=t, disk=d, block=b, is_write=w)
-        for t, d, b, _, w in iter_synthetic_rows(config)
-    ]
-
-
 def generate_synthetic_trace_columnar(
     config: SyntheticTraceConfig = SyntheticTraceConfig(),
 ) -> ColumnarTrace:
-    """:func:`generate_synthetic_trace` straight into columns.
+    """Generate one Table 3 trace (deterministic given ``config.seed``).
 
-    Same seed, same draws, same requests — streamed through the chunked
-    builder without materializing an :class:`IORequest` (or a boxed
-    Python scalar) per row. This is the generator the benchmark harness
-    and campaigns use for large traces.
+    Rows stream through the chunked builder without materializing an
+    :class:`~repro.traces.record.IORequest` (or a boxed Python scalar)
+    per row.
     """
     return build_columnar(iter_synthetic_rows(config))

@@ -10,7 +10,10 @@ from repro.errors import ConfigurationError
 from repro.power.dpm import PracticalDPM
 from repro.power.specs import ULTRASTAR_36Z15
 from repro.sim.runner import run_simulation
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 def rig(interval=10.0, capacity=16):
@@ -78,11 +81,11 @@ class TestPeriodicFlushPolicy:
 
     def test_bounded_exposure_between_wb_and_wt(self):
         """Energy and pending-dirty land between WB and WT."""
-        trace = generate_synthetic_trace(
+        trace = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(
                 num_requests=6000, write_ratio=0.6, seed=37
             )
-        )
+        ).to_requests()
         results = {
             name: run_simulation(
                 trace, "lru", num_disks=20, cache_blocks=512,

@@ -25,7 +25,6 @@ from repro.sim.runner import run_simulation
 from repro.sim.sweep import grid_sweep
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 
@@ -38,9 +37,9 @@ AXES = {
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=400, num_disks=3, seed=29)
-    )
+    ).to_requests()
 
 
 def fail_once(workload, marker=None, fail_on=None, **run_kwargs):
@@ -123,12 +122,12 @@ class TestParallelMatchesSerial:
 
     def test_parallel_trace_factory(self):
         def factory(write_ratio):
-            return generate_synthetic_trace(
+            return generate_synthetic_trace_columnar(
                 SyntheticTraceConfig(
                     num_requests=200, num_disks=3,
                     write_ratio=write_ratio, seed=5,
                 )
-            )
+            ).to_requests()
 
         axes = {"write_ratio": [0.0, 0.5], "policy": ["lru", "fifo"]}
         serial = grid_sweep(

@@ -26,16 +26,15 @@ from repro.sim.runner import run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=200, num_disks=3, seed=31)
-    )
+    ).to_requests()
 
 
 def die_in_worker(workload, **run_kwargs):

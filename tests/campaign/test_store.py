@@ -13,14 +13,17 @@ from repro.campaign.store import (
 )
 from repro.errors import CampaignError
 from repro.sim.runner import run_simulation
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=300, num_disks=3, seed=21)
-    )
+    ).to_requests()
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +50,9 @@ class TestResultKey:
         assert a == b
 
     def test_workload_changes_key(self, trace):
-        other = generate_synthetic_trace(
+        other = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(num_requests=300, num_disks=3, seed=22)
-        )
+        ).to_requests()
         kwargs = {"policy": "lru"}
         assert result_key(workload_token(trace), kwargs) != result_key(
             workload_token(other), kwargs
@@ -78,8 +81,8 @@ class TestWorkloadToken:
         assert a.startswith("factory:")
 
     def test_callable_token_reflects_source(self):
-        token = callable_token(generate_synthetic_trace)
-        assert "generate_synthetic_trace" in token
+        token = callable_token(generate_synthetic_trace_columnar)
+        assert "generate_synthetic_trace_columnar" in token
         assert "#" in token  # carries a source hash
 
 

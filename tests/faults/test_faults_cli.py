@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.io import save_trace
 from repro.traces.record import IORequest
 
@@ -19,7 +20,7 @@ def trace_csv(tmp_path):
         )
         t += 200.0
     path = tmp_path / "trace.csv"
-    save_trace(requests, path)
+    save_trace(ColumnarTrace.from_requests(requests), path)
     return str(path)
 
 

@@ -16,7 +16,11 @@ with the diff reviewed and explained in the commit message)::
 
 from pathlib import Path
 
-from repro import SyntheticTraceConfig, generate_synthetic_trace, run_simulation
+from repro import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+    run_simulation,
+)
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -36,7 +40,7 @@ COMMON_KWARGS = {"num_disks": 5, "cache_blocks": 256, "dpm": "practical"}
 
 def run_golden(name):
     """Execute one golden configuration; returns its pinned snapshot."""
-    trace = generate_synthetic_trace(TRACE_CONFIG)
+    trace = generate_synthetic_trace_columnar(TRACE_CONFIG).to_requests()
     kwargs = {**COMMON_KWARGS, **GOLDEN_RUNS[name]}
     policy = kwargs.pop("policy")
     result = run_simulation(trace, policy, trace_events=True, **kwargs)

@@ -8,13 +8,16 @@ eviction path — these tests run the *combinations* end-to-end.
 import pytest
 
 from repro.sim.runner import run_simulation
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def writey_trace():
     """A write-heavy workload that exercises WTDU's pinning."""
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(
             num_requests=3000,
             num_disks=5,
@@ -22,7 +25,7 @@ def writey_trace():
             mean_interarrival_s=1.0,  # sparse: disks park, WTDU defers
             seed=53,
         )
-    )
+    ).to_requests()
 
 
 class TestOfflinePoliciesWithWTDU:
@@ -102,7 +105,7 @@ class TestPAWithEverything:
 class TestPrefetchEvictionInterplay:
     def test_prefetch_admissions_can_evict_dirty_blocks(self):
         """Prefetched blocks displacing dirty blocks must persist them."""
-        trace = generate_synthetic_trace(
+        trace = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(
                 num_requests=2000,
                 num_disks=3,
@@ -110,7 +113,7 @@ class TestPrefetchEvictionInterplay:
                 mean_interarrival_s=2.0,
                 seed=59,
             )
-        )
+        ).to_requests()
         result = run_simulation(
             trace,
             "lru",

@@ -12,16 +12,19 @@ from repro.sim.runner import (
     WRITE_POLICY_NAMES,
     run_simulation,
 )
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(
             num_requests=1200, num_disks=4, write_ratio=0.4, seed=23
         )
-    )
+    ).to_requests()
 
 
 def check_identities(result):

@@ -4,16 +4,19 @@ import pytest
 
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def small_trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(
             num_requests=4000, num_disks=6, write_ratio=0.3, seed=17
         )
-    )
+    ).to_requests()
 
 
 class TestEnergyConservation:

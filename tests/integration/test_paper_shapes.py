@@ -9,9 +9,12 @@ paper scale.
 import pytest
 
 from repro.sim.runner import run_simulation
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 OLTP_CACHE = 2048
 
@@ -19,7 +22,8 @@ OLTP_CACHE = 2048
 @pytest.fixture(scope="module")
 def oltp():
     # 40 minutes keeps several epochs while staying fast
-    return generate_oltp_trace(OLTPTraceConfig(duration_s=2400.0))
+    config = OLTPTraceConfig(duration_s=2400.0)
+    return generate_oltp_trace_columnar(config).to_requests()
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +111,9 @@ class TestFigure7Shapes:
 class TestCelloShapes:
     @pytest.fixture(scope="class")
     def cello_results(self):
-        trace = generate_cello_trace(CelloTraceConfig(duration_s=300.0))
+        trace = generate_cello_trace_columnar(
+            CelloTraceConfig(duration_s=300.0)
+        ).to_requests()
         return {
             name: run_simulation(
                 trace, name, num_disks=19, cache_blocks=4096, dpm="practical"
@@ -138,11 +144,11 @@ class TestFigure9Shapes:
     @pytest.fixture(scope="class")
     def policies(self):
         def run(write_ratio, write_policy):
-            trace = generate_synthetic_trace(
+            trace = generate_synthetic_trace_columnar(
                 SyntheticTraceConfig(
                     num_requests=8000, write_ratio=write_ratio, seed=21
                 )
-            )
+            ).to_requests()
             # a small cache so capacity evictions actually happen —
             # write-back is degenerate (never writes) otherwise
             return run_simulation(

@@ -13,7 +13,10 @@ import json
 import pytest
 
 from repro.sim.sweep import grid_sweep
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 AXES = {
     "policy": ["lru", "fifo", "pa-lru"],
@@ -23,9 +26,9 @@ AXES = {
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=1500, num_disks=4, seed=31)
-    )
+    ).to_requests()
 
 
 def canonical(sweep):

@@ -21,10 +21,6 @@ from repro.core import kernels
 from repro.core.bloom import BloomFilter
 from repro.core.histogram import IntervalHistogram, default_bin_edges
 
-pytestmark = pytest.mark.skipif(
-    not kernels.have_numpy(), reason="batch kernels need numpy"
-)
-
 FAST_SEEDS = range(20)
 SLOW_SEEDS = range(20, 120)
 

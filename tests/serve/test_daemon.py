@@ -22,7 +22,7 @@ from repro.serve.protocol import format_request, parse_response_line
 from repro.traces.record import IORequest
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
+    generate_synthetic_trace_columnar,
 )
 
 #: Far above any wall-derived stamp a test could produce.
@@ -37,9 +37,9 @@ SESSION = {
 
 
 def small_trace(n=120, seed=5):
-    trace = generate_synthetic_trace(
+    trace = generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=n, num_disks=3, seed=seed)
-    )
+    ).to_requests()
     return [
         IORequest(
             time=BASE + r.time,
@@ -167,6 +167,20 @@ class TestLockstepService:
         ok, err = run(scenario())
         assert ok.verb == "OK" and err.verb == "ERR"
         assert "behind" in err.message
+
+    def test_non_finite_explicit_time_leaves_the_clock_alone(self):
+        async def scenario():
+            daemon = await start_daemon()
+            responses = await tcp_exchange(
+                daemon.tcp_port,
+                ["REQ b 0 2 1 R t=inf", "REQ c 0 3 1 R t=5"],
+            )
+            await drain(daemon)
+            return responses
+
+        refused, ok = run(scenario())
+        assert refused.verb == "ERR" and "finite" in refused.message
+        assert ok.verb == "OK" and ok.sim_time == 5.0
 
     def test_wall_stamped_requests_are_served(self):
         async def scenario():

@@ -25,7 +25,7 @@ from repro.serve.metrics import (
     render_metrics,
 )
 from repro.sim import build_session
-from repro.traces.synthetic import generate_synthetic_trace
+from repro.traces.synthetic import generate_synthetic_trace_columnar
 from repro.traces.zoo import CDNTraceConfig, generate_cdn_trace
 
 from tests.integration.golden_spec import (
@@ -99,7 +99,7 @@ class TestLedgersEqualTheEventStream:
                 )
             ).to_requests()
         else:
-            trace = generate_synthetic_trace(TRACE_CONFIG)
+            trace = generate_synthetic_trace_columnar(TRACE_CONFIG).to_requests()
         bus = EventBus()
         sink = bus.attach(MetricsSink())
         session = build_session(
@@ -117,7 +117,7 @@ class TestLedgersEqualTheEventStream:
         _assert_ledgers_match_events(simulator, sink)
 
     def test_add_latencies_equals_request_events(self):
-        trace = generate_synthetic_trace(TRACE_CONFIG)[:600]
+        trace = generate_synthetic_trace_columnar(TRACE_CONFIG).to_requests()[:600]
         bus = EventBus()
         from_events = bus.attach(MetricsSink())
         session = build_session(probe=bus, **{**COMMON_KWARGS, "policy": "lru"})

@@ -58,6 +58,11 @@ class TestRequestLine:
         with pytest.raises(ServeError):
             parse_request_line(line)
 
+    @pytest.mark.parametrize("stamp", ["inf", "nan", "-inf"])
+    def test_rejects_non_finite_explicit_time(self, stamp):
+        with pytest.raises(ServeError, match="finite"):
+            parse_request_line(f"REQ r1 0 1 1 R t={stamp}")
+
 
 class TestResponseLine:
     def test_ok_round_trip(self):

@@ -18,7 +18,6 @@ from repro.sim.runner import run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 from repro.traces.zoo import CDNTraceConfig, generate_cdn_trace
@@ -45,16 +44,16 @@ def _serialized(trace, **kwargs):
 
 @pytest.fixture(scope="module")
 def traces():
-    legacy = generate_synthetic_trace(TRACE_CONFIG)
+    reference = generate_synthetic_trace_columnar(TRACE_CONFIG).to_requests()
     columnar = generate_synthetic_trace_columnar(TRACE_CONFIG)
-    return legacy, columnar
+    return reference, columnar
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_config_byte_identical(traces, name):
-    legacy, columnar = traces
+    reference, columnar = traces
     kwargs = GOLDEN_RUNS[name]
-    assert _serialized(legacy, **kwargs) == _serialized(columnar, **kwargs)
+    assert _serialized(reference, **kwargs) == _serialized(columnar, **kwargs)
 
 
 def _policy_cases(values):
@@ -77,9 +76,9 @@ def _policy_cases(values):
     _policy_cases(["always_on", "oracle", "practical", "adaptive"]),
 )
 def test_dpm_schemes_byte_identical(traces, name, dpm):
-    legacy, columnar = traces
+    reference, columnar = traces
     kwargs = {**GOLDEN_RUNS[name], "dpm": dpm}
-    assert _serialized(legacy, **kwargs) == _serialized(columnar, **kwargs)
+    assert _serialized(reference, **kwargs) == _serialized(columnar, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -89,17 +88,17 @@ def test_dpm_schemes_byte_identical(traces, name, dpm):
     ),
 )
 def test_write_policies_byte_identical(traces, name, write_policy):
-    legacy, columnar = traces
+    reference, columnar = traces
     kwargs = {**GOLDEN_RUNS[name], "write_policy": write_policy}
-    assert _serialized(legacy, **kwargs) == _serialized(columnar, **kwargs)
+    assert _serialized(reference, **kwargs) == _serialized(columnar, **kwargs)
 
 
 def test_from_requests_matches_generator(traces):
-    """Converting the legacy trace gives the same results as generating
+    """Converting the reference trace gives the same results as generating
     the columns directly."""
-    legacy, _ = traces
-    converted = ColumnarTrace.from_requests(legacy)
-    assert _serialized(legacy, policy="lru") == _serialized(
+    reference, _ = traces
+    converted = ColumnarTrace.from_requests(reference)
+    assert _serialized(reference, policy="lru") == _serialized(
         converted, policy="lru"
     )
 

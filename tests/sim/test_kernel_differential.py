@@ -1,9 +1,9 @@
-"""Fused engine loops vs the legacy per-object path: differential runs.
+"""Fused engine loops vs the reference per-object path: differential runs.
 
 The golden-configuration suite (``test_columnar_equivalence``) pins
 three fixed workloads. This suite is the randomized complement for the
 kernel-built fused loops (PA-LRU and OPG): every test generates a
-seeded synthetic trace, runs it through both the legacy
+seeded synthetic trace, runs it through both the reference
 ``list[IORequest]`` loop and the columnar fused loop, and compares the
 fully serialized results byte for byte. It also pins the epoch-machinery
 edge cases on hand-built traces: empty epochs, a single-request trace,
@@ -23,7 +23,6 @@ from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 
@@ -52,10 +51,10 @@ def _serialized(trace, *, num_disks, cache_blocks=128, **kwargs):
 
 
 def _assert_differential(cfg: SyntheticTraceConfig, **kwargs) -> None:
-    legacy = generate_synthetic_trace(cfg)
+    reference = generate_synthetic_trace_columnar(cfg).to_requests()
     columnar = generate_synthetic_trace_columnar(cfg)
     assert _serialized(
-        legacy, num_disks=cfg.num_disks, **kwargs
+        reference, num_disks=cfg.num_disks, **kwargs
     ) == _serialized(columnar, num_disks=cfg.num_disks, **kwargs)
 
 
@@ -90,16 +89,16 @@ def test_random_trace_differential_slow(policy, seed):
 
 
 def _both(requests):
-    legacy = list(requests)
-    return legacy, ColumnarTrace.from_requests(legacy)
+    reference = list(requests)
+    return reference, ColumnarTrace.from_requests(reference)
 
 
 def _assert_handmade(requests, num_disks, **kwargs):
-    legacy, columnar = _both(requests)
+    reference, columnar = _both(requests)
     for name, pol_kwargs in sorted(POLICIES.items()):
         merged = {**pol_kwargs, **kwargs}
         assert _serialized(
-            legacy, num_disks=num_disks, **merged
+            reference, num_disks=num_disks, **merged
         ) == _serialized(columnar, num_disks=num_disks, **merged), name
 
 

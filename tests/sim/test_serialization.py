@@ -7,14 +7,17 @@ import pytest
 from repro.power.accounting import EnergyAccount
 from repro.sim.results import DiskReport, ResponseStats, SimulationResult
 from repro.sim.runner import run_simulation
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def result():
-    trace = generate_synthetic_trace(
+    trace = generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=400, num_disks=3, seed=13)
-    )
+    ).to_requests()
     return run_simulation(trace, "lru", num_disks=3, cache_blocks=64)
 
 

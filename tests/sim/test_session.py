@@ -42,12 +42,12 @@ from tests.integration.golden_spec import (
     GOLDEN_RUNS,
     TRACE_CONFIG,
 )
-from repro.traces.synthetic import generate_synthetic_trace
+from repro.traces.synthetic import generate_synthetic_trace_columnar
 
 
 @pytest.fixture(scope="module")
 def golden_trace():
-    return generate_synthetic_trace(TRACE_CONFIG)
+    return generate_synthetic_trace_columnar(TRACE_CONFIG).to_requests()
 
 
 def _session_kwargs(name):

@@ -6,14 +6,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.sweep import grid_sweep
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=400, num_disks=3, seed=29)
-    )
+    ).to_requests()
 
 
 class TestGridSweep:
@@ -85,12 +88,12 @@ class TestGridSweep:
 
     def test_trace_factory_axes(self):
         def factory(write_ratio):
-            return generate_synthetic_trace(
+            return generate_synthetic_trace_columnar(
                 SyntheticTraceConfig(
                     num_requests=300, num_disks=3, write_ratio=write_ratio,
                     seed=5,
                 )
-            )
+            ).to_requests()
 
         sweep = grid_sweep(
             factory,

@@ -9,7 +9,10 @@ work, and the identical-results invariant.
 
 import copy
 
-from repro.bench import attach_before, check_regression
+import pytest
+
+from repro.bench import check_regression
+from repro.cli import _build_parser
 
 BASELINE = {
     "scenarios": {
@@ -49,7 +52,7 @@ def test_speedup_regression_fails():
 
 
 def test_krps_vs_lru_regression_fails():
-    # The legacy/columnar speedup can hold steady while the policy
+    # The reference/columnar speedup can hold steady while the policy
     # quietly falls behind plain LRU — the cross-policy ratio is a
     # separate floor.
     report = _report()
@@ -111,13 +114,21 @@ def test_scenarios_missing_from_baseline_are_ignored():
 
 
 def test_attach_before_computes_per_scenario_speedups():
-    report = {
-        "scenarios": {
-            "lru_wb": {"columnar_s": 2.0},
-            "campaign": {"shared_s": 1.0},  # no columnar_s: skipped
-        }
-    }
-    before = {"scenarios": {"lru_wb": {"seconds": 10.0}}}
-    attach_before(report, before)
-    assert report["before"] is before
-    assert report["speedup_vs_before"] == {"lru_wb": 5.0}
+    # The frozen pre-overhaul record is no longer regenerated: the
+    # option that embedded it in a report is gone.
+    parser = _build_parser()
+    assert parser.parse_args(["bench", "--small"]).small
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bench", "--before", "before.json"])
+
+
+def test_generate_floor_gates_columnar_krps():
+    # Generation has one path and no ratio, so only its absolute
+    # krows/s floor gates it.
+    baseline = {"floors": {"generate": {"columnar_krps": 35.0}}}
+    report = {"scenarios": {"generate": {"columnar_krps": 75.0}}}
+    assert check_regression(report, baseline, tolerance=0.25) == []
+    report["scenarios"]["generate"]["columnar_krps"] = 25.0
+    failures = check_regression(report, baseline, tolerance=0.25)
+    assert len(failures) == 1 and "generate" in failures[0]
+    assert "absolute floor" in failures[0]

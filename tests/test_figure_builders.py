@@ -10,14 +10,17 @@ from repro.analysis.figures import (
     write_policy_sweep,
 )
 from repro.core.histogram import IntervalHistogram
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=1500, num_disks=4, seed=43)
-    )
+    ).to_requests()
 
 
 class TestReplacementComparison:
@@ -64,12 +67,12 @@ class TestSpinupCostSweep:
 class TestWritePolicySweep:
     def test_curves_keyed_by_policy(self):
         def make_trace(write_ratio=0.5):
-            return generate_synthetic_trace(
+            return generate_synthetic_trace_columnar(
                 SyntheticTraceConfig(
                     num_requests=800, num_disks=4,
                     write_ratio=write_ratio, seed=44,
                 )
-            )
+            ).to_requests()
 
         curves = write_policy_sweep(
             make_trace,

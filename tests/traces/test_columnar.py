@@ -3,13 +3,12 @@
 import pytest
 
 from repro.errors import TraceError
-from repro.traces.columnar import ColumnarTrace, as_columnar
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.fingerprint import trace_fingerprint
 from repro.traces.io import save_trace
 from repro.traces.record import IORequest
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
 )
 
@@ -72,14 +71,17 @@ class TestRoundTrip:
     def test_from_csv_matches_from_requests(self, tmp_path):
         requests = _requests()
         path = tmp_path / "trace.csv"
-        save_trace(requests, path)
+        save_trace(ColumnarTrace.from_requests(requests), path)
         trace = ColumnarTrace.from_csv(path)
         assert trace.to_requests() == requests
 
     def test_as_columnar_passthrough(self):
+        # Rebuilding a trace from its own columns copies nothing.
         trace = ColumnarTrace.from_requests(_requests())
-        assert as_columnar(trace) is trace
-        assert as_columnar(_requests()).to_requests() == _requests()
+        names = ("times", "disks", "blocks", "nblocks", "is_write")
+        again = ColumnarTrace(*(getattr(trace, name) for name in names))
+        assert all(getattr(again, n) is getattr(trace, n) for n in names)
+        assert again.to_requests() == _requests()
 
 
 class TestValidation:
@@ -104,20 +106,23 @@ class TestValidation:
 
 class TestGenerators:
     def test_columnar_generator_matches_legacy(self):
+        # Every way of boxing generated columns as requests agrees:
+        # to_requests() (the reference loop's input), iteration, indexing.
         cfg = SyntheticTraceConfig(num_requests=2000, num_disks=4, seed=31)
-        assert (
-            generate_synthetic_trace_columnar(cfg).to_requests()
-            == generate_synthetic_trace(cfg)
-        )
+        trace = generate_synthetic_trace_columnar(cfg)
+        requests = trace.to_requests()
+        assert len(requests) == 2000
+        assert list(trace) == requests
+        assert [trace[i] for i in range(len(trace))] == requests
 
     def test_fingerprint_matches_legacy(self):
         cfg = SyntheticTraceConfig(num_requests=3000, num_disks=4, seed=8)
-        legacy = generate_synthetic_trace(cfg)
+        reference = generate_synthetic_trace_columnar(cfg).to_requests()
         columnar = generate_synthetic_trace_columnar(cfg)
-        assert trace_fingerprint(columnar) == trace_fingerprint(legacy)
+        assert trace_fingerprint(columnar) == trace_fingerprint(reference)
         assert trace_fingerprint(
-            ColumnarTrace.from_requests(legacy)
-        ) == trace_fingerprint(legacy)
+            ColumnarTrace.from_requests(reference)
+        ) == trace_fingerprint(reference)
 
     def test_fingerprint_order_sensitive_on_columns(self):
         trace = ColumnarTrace.from_requests(_requests())

@@ -2,13 +2,16 @@
 
 from repro.traces.fingerprint import trace_fingerprint
 from repro.traces.record import IORequest
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 def make_trace(n=200, seed=3):
-    return generate_synthetic_trace(
+    return generate_synthetic_trace_columnar(
         SyntheticTraceConfig(num_requests=n, num_disks=3, seed=seed)
-    )
+    ).to_requests()
 
 
 class TestTraceFingerprint:

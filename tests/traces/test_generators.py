@@ -4,26 +4,32 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.traces.cello import CelloTraceConfig, generate_cello_trace
-from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.traces.record import validate_trace
 from repro.traces.stats import characterize
-from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    generate_synthetic_trace_columnar,
+)
 
 
 @pytest.fixture(scope="module")
 def small_oltp():
-    return generate_oltp_trace(OLTPTraceConfig(duration_s=600.0))
+    config = OLTPTraceConfig(duration_s=600.0)
+    return generate_oltp_trace_columnar(config).to_requests()
 
 
 @pytest.fixture(scope="module")
 def small_cello():
-    return generate_cello_trace(CelloTraceConfig(duration_s=60.0))
+    config = CelloTraceConfig(duration_s=60.0)
+    return generate_cello_trace_columnar(config).to_requests()
 
 
 @pytest.fixture(scope="module")
 def small_synth():
-    return generate_synthetic_trace(SyntheticTraceConfig(num_requests=5000))
+    config = SyntheticTraceConfig(num_requests=5000)
+    return generate_synthetic_trace_columnar(config).to_requests()
 
 
 class TestSyntheticGenerator:
@@ -46,31 +52,40 @@ class TestSyntheticGenerator:
 
     def test_deterministic_given_seed(self):
         config = SyntheticTraceConfig(num_requests=200, seed=77)
-        assert generate_synthetic_trace(config) == generate_synthetic_trace(config)
+        assert (
+            generate_synthetic_trace_columnar(config).to_requests()
+            == generate_synthetic_trace_columnar(config).to_requests()
+        )
 
     def test_seed_changes_trace(self):
-        a = generate_synthetic_trace(SyntheticTraceConfig(num_requests=200, seed=1))
-        b = generate_synthetic_trace(SyntheticTraceConfig(num_requests=200, seed=2))
+        # Compare request lists: ColumnarTrace has no __eq__, so != on
+        # two traces would compare identity and pass vacuously.
+        a = generate_synthetic_trace_columnar(
+            SyntheticTraceConfig(num_requests=200, seed=1)
+        ).to_requests()
+        b = generate_synthetic_trace_columnar(
+            SyntheticTraceConfig(num_requests=200, seed=2)
+        ).to_requests()
         assert a != b
 
     def test_reuse_controls_distinct_blocks(self):
-        high = generate_synthetic_trace(
+        high = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(num_requests=3000, reuse_probability=0.9, seed=3)
-        )
-        low = generate_synthetic_trace(
+        ).to_requests()
+        low = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(num_requests=3000, reuse_probability=0.1, seed=3)
-        )
+        ).to_requests()
         assert (
             characterize(high).distinct_blocks
             < characterize(low).distinct_blocks
         )
 
     def test_pareto_variant(self):
-        trace = generate_synthetic_trace(
+        trace = generate_synthetic_trace_columnar(
             SyntheticTraceConfig(
                 num_requests=2000, arrival_process="pareto", seed=4
             )
-        )
+        ).to_requests()
         assert len(trace) == 2000
         validate_trace(trace)
 
@@ -110,7 +125,10 @@ class TestOLTPGenerator:
 
     def test_deterministic(self):
         config = OLTPTraceConfig(duration_s=120.0, seed=5)
-        assert generate_oltp_trace(config) == generate_oltp_trace(config)
+        assert (
+            generate_oltp_trace_columnar(config).to_requests()
+            == generate_oltp_trace_columnar(config).to_requests()
+        )
 
     def test_bad_band_split_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -143,7 +161,10 @@ class TestCelloGenerator:
 
     def test_deterministic(self):
         config = CelloTraceConfig(duration_s=10.0, seed=9)
-        assert generate_cello_trace(config) == generate_cello_trace(config)
+        assert (
+            generate_cello_trace_columnar(config).to_requests()
+            == generate_cello_trace_columnar(config).to_requests()
+        )
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):

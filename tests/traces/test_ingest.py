@@ -118,6 +118,18 @@ class TestMalformedInput:
             import_trace(FIXTURES / fixture)
         assert message in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        ("fixture", "message"),
+        [
+            ("nan_time.blktrace", "nan_time.blktrace:1: timestamp 'nan' is not finite"),
+            ("nan_rate.iostat", "nan_rate.iostat:7: rate 'nan' is not finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, fixture, message):
+        with pytest.raises(TraceError) as excinfo:
+            import_trace(FIXTURES / fixture)
+        assert message in str(excinfo.value)
+
     def test_bad_timestamp(self, tmp_path):
         path = tmp_path / "bad_time.blktrace"
         path.write_text("8,0 0 1 nonsense 697 Q R 1024 + 8 [app]\n")

@@ -8,34 +8,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.traces.io import load_trace, save_trace
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.io import save_trace
 from repro.traces.record import IORequest
 from repro.traces.stats import characterize
+
+
+def _save(requests, path):
+    save_trace(ColumnarTrace.from_requests(requests), path)
+
+
+def _load(path):
+    return ColumnarTrace.from_csv(path).to_requests()
 
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path, tiny_trace):
         path = tmp_path / "trace.csv"
-        save_trace(tiny_trace, path)
-        assert load_trace(path) == tiny_trace
+        _save(tiny_trace, path)
+        assert _load(path) == tiny_trace
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(TraceError):
-            load_trace(path)
+            _load(path)
 
     def test_bad_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,disk,block,nblocks,op\n1.0,0,5,1,X\n")
         with pytest.raises(TraceError):
-            load_trace(path)
+            _load(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,disk,block,nblocks,op\n1.0,0,5\n")
         with pytest.raises(TraceError):
-            load_trace(path)
+            _load(path)
 
     def test_disordered_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -43,13 +52,22 @@ class TestTraceIO:
             "time,disk,block,nblocks,op\n2.0,0,5,1,R\n1.0,0,6,1,R\n"
         )
         with pytest.raises(TraceError):
-            load_trace(path)
+            _load(path)
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, time):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"time,disk,block,nblocks,op\n0.0,0,5,1,R\n{time},0,6,1,R\n"
+        )
+        with pytest.raises(TraceError, match=r"bad\.csv:3: bad record"):
+            _load(path)
 
     def test_write_flag_preserved(self, tmp_path):
         trace = [IORequest(time=0.0, disk=0, block=1, is_write=True)]
         path = tmp_path / "w.csv"
-        save_trace(trace, path)
-        assert load_trace(path)[0].is_write
+        _save(trace, path)
+        assert _load(path)[0].is_write
 
 
 class TestHeaderNormalization:
@@ -57,35 +75,33 @@ class TestHeaderNormalization:
 
     def test_bom_header_accepted(self, tmp_path, tiny_trace):
         path = tmp_path / "trace.csv"
-        save_trace(tiny_trace, path)
+        _save(tiny_trace, path)
         bommed = tmp_path / "bom.csv"
         bommed.write_text("\ufeff" + path.read_text())
-        assert load_trace(bommed) == tiny_trace
+        assert _load(bommed) == tiny_trace
 
     def test_bom_header_accepted_columnar(self, tmp_path, tiny_trace):
-        from repro.traces.columnar import ColumnarTrace
-
         path = tmp_path / "trace.csv"
-        save_trace(tiny_trace, path)
+        _save(tiny_trace, path)
         bommed = tmp_path / "bom.csv"
         bommed.write_text("\ufeff" + path.read_text())
         assert ColumnarTrace.from_csv(bommed).to_requests() == tiny_trace
 
     def test_whitespace_header_accepted(self, tmp_path, tiny_trace):
         path = tmp_path / "trace.csv"
-        save_trace(tiny_trace, path)
+        _save(tiny_trace, path)
         header, _, body = path.read_text().partition("\n")
         padded = tmp_path / "padded.csv"
         padded.write_text(
             ",".join(f" {field} " for field in header.split(",")) + "\n" + body
         )
-        assert load_trace(padded) == tiny_trace
+        assert _load(padded) == tiny_trace
 
     def test_wrong_header_still_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("\ufefftime,disk,block\n1.0,0,5\n")
         with pytest.raises(TraceError, match="bad header"):
-            load_trace(path)
+            _load(path)
 
 
 class TestRoundTripFidelity:
@@ -99,13 +115,15 @@ class TestRoundTripFidelity:
         from repro.traces.fingerprint import trace_fingerprint
         from repro.traces.synthetic import (
             SyntheticTraceConfig,
-            generate_synthetic_trace,
+            generate_synthetic_trace_columnar,
         )
 
-        trace = generate_synthetic_trace(SyntheticTraceConfig(num_requests=500))
+        trace = generate_synthetic_trace_columnar(
+            SyntheticTraceConfig(num_requests=500)
+        ).to_requests()
         path = tmp_path / "trace.csv"
-        save_trace(trace, path)
-        assert trace_fingerprint(load_trace(path)) == trace_fingerprint(trace)
+        _save(trace, path)
+        assert trace_fingerprint(_load(path)) == trace_fingerprint(trace)
 
     @given(
         times=st.lists(
@@ -129,8 +147,8 @@ class TestRoundTripFidelity:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
-            save_trace(trace, path)
-            loaded = load_trace(path)
+            _save(trace, path)
+            loaded = _load(path)
         assert [r.time for r in loaded] == [r.time for r in trace]
         assert trace_fingerprint(loaded) == trace_fingerprint(trace)
 

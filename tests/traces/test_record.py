@@ -25,6 +25,11 @@ class TestIORequest:
         with pytest.raises(TraceError):
             IORequest(time=0.0, disk=0, block=0, nblocks=0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(TraceError, match="finite"):
+            IORequest(time=time, disk=0, block=0)
+
     def test_frozen(self):
         req = IORequest(time=0.0, disk=0, block=0)
         with pytest.raises(AttributeError):

@@ -5,28 +5,16 @@ import tracemalloc
 import pytest
 
 from repro.errors import TraceError
-from repro.traces.cello import (
-    CelloTraceConfig,
-    generate_cello_trace,
-    generate_cello_trace_columnar,
-)
+from repro.traces.cello import CelloTraceConfig, generate_cello_trace_columnar
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.fingerprint import trace_fingerprint
-from repro.traces.oltp import (
-    OLTPTraceConfig,
-    generate_oltp_trace,
-    generate_oltp_trace_columnar,
-)
-from repro.traces.streaming import (
-    CHUNK_ROWS,
-    TraceBuilder,
-    build_columnar,
-    iter_requests_as_rows,
-)
+from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
+from repro.traces.record import IORequest
+from repro.traces.streaming import CHUNK_ROWS, TraceBuilder, build_columnar
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
-    generate_synthetic_trace,
     generate_synthetic_trace_columnar,
+    iter_synthetic_rows,
 )
 
 
@@ -77,41 +65,56 @@ class TestTraceBuilder:
         with pytest.raises(TraceError, match="bad record"):
             builder.append(0.0, 0, 5, nblocks=0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, time):
+        builder = TraceBuilder()
+        builder.append(1.0, 0, 1)
+        with pytest.raises(TraceError, match="bad record at row 1"):
+            builder.append(time, 0, 2)
+
     def test_round_trips_request_rows(self, tiny_trace):
-        trace = build_columnar(iter_requests_as_rows(tiny_trace))
+        rows = (
+            (r.time, r.disk, r.block, r.nblocks, r.is_write)
+            for r in tiny_trace
+        )
+        trace = build_columnar(rows)
         assert trace.to_requests() == tiny_trace
 
 
 class TestGeneratorEquivalence:
-    """The columnar generators must be bit-identical to the legacy ones."""
+    """Each generator's output is pinned by fingerprint: a change to its
+    RNG draw order, or to the streaming builder, moves the pin."""
 
     def test_oltp(self):
-        config = OLTPTraceConfig(duration_s=20.0)
-        legacy = generate_oltp_trace(config)
-        columnar = generate_oltp_trace_columnar(config)
-        assert len(legacy) == len(columnar) > 0
-        assert trace_fingerprint(legacy) == trace_fingerprint(columnar)
+        trace = generate_oltp_trace_columnar(OLTPTraceConfig(duration_s=20.0))
+        assert len(trace) == 220
+        assert trace_fingerprint(trace) == (
+            "53a1dc5ad23063f4c294c2654de298e9bc03d7af73d08afb23d9adf1cd6bb9a0"
+        )
 
     def test_cello(self):
-        config = CelloTraceConfig(duration_s=2.0)
-        legacy = generate_cello_trace(config)
-        columnar = generate_cello_trace_columnar(config)
-        assert len(legacy) == len(columnar) > 0
-        assert trace_fingerprint(legacy) == trace_fingerprint(columnar)
+        trace = generate_cello_trace_columnar(CelloTraceConfig(duration_s=2.0))
+        assert len(trace) == 336
+        assert trace_fingerprint(trace) == (
+            "b87713d411cbbd1622af09565c4b3ead00b463ee323f82f0e3b03684690c988c"
+        )
 
     def test_synthetic(self):
         config = SyntheticTraceConfig(num_requests=2000)
-        legacy = generate_synthetic_trace(config)
-        columnar = generate_synthetic_trace_columnar(config)
-        assert len(legacy) == len(columnar) == 2000
-        assert trace_fingerprint(legacy) == trace_fingerprint(columnar)
+        trace = generate_synthetic_trace_columnar(config)
+        assert len(trace) == 2000
+        assert trace_fingerprint(trace) == (
+            "543aae75dd72a6a3688ab6860a846fb243e448218beb39c47f7770692277b9f3"
+        )
 
     def test_columnar_requests_match_legacy(self):
+        # The streamed columns hold exactly the rows the generation loop
+        # yields, boxed the way a request list boxes them.
         config = SyntheticTraceConfig(num_requests=300)
-        assert (
-            generate_synthetic_trace_columnar(config).to_requests()
-            == generate_synthetic_trace(config)
-        )
+        assert generate_synthetic_trace_columnar(config).to_requests() == [
+            IORequest(time=t, disk=d, block=b, nblocks=n, is_write=w)
+            for t, d, b, n, w in iter_synthetic_rows(config)
+        ]
 
 
 @pytest.mark.slow
