@@ -7,8 +7,6 @@ extremes (cheap spin-ups mean LRU already saves; expensive spin-ups
 push the break-even times beyond the available idle gaps).
 """
 
-import pytest
-
 from repro.analysis.figures import spinup_cost_sweep
 from repro.analysis.tables import ascii_table
 from benchmarks.conftest import OLTP_CACHE_BLOCKS

@@ -150,7 +150,6 @@ def test_fig9_2_savings_vs_interarrival(benchmark, report, interarrival_curves):
     for traffic in ("exponential", "pareto"):
         curves = interarrival_curves[traffic]
         for policy in POLICIES:
-            xs = [x for x, _ in curves[policy]]
             ys = [y for _, y in curves[policy]]
             # vanishing benefit when disks are never idle (10 ms)...
             assert abs(ys[0]) < 0.05, (traffic, policy)

@@ -28,7 +28,6 @@ def energy_fn(gap: float) -> float:
 def timeline(miss_times: set[float]) -> str:
     """ASCII power-state strip: # = active/idle, . = standby."""
     strip = []
-    last_active = 0.0
     for t in range(int(END_TIME) + 1):
         since = t - max((m for m in miss_times if m <= t), default=0.0)
         strip.append("." if since > THRESHOLD else "#")

@@ -117,42 +117,40 @@ class OfflinePolicy(ReplacementPolicy):
         self._cursor = 0
         self._prepared = True
 
-    def prepare_columnar(self, trace) -> bool:
+    def prepare_columnar(self, trace):
         """Vectorized :meth:`prepare` over a
         :class:`~repro.traces.columnar.ColumnarTrace`.
 
         Builds exactly the state :meth:`prepare` would — same lists,
-        same floats — but derives the next-occurrence arrays with one
-        stable lexsort (:func:`repro.core.kernels.next_access_arrays`)
-        instead of the reverse Python loop. Returns ``True`` when the
-        vectorized path ran; falls back to :meth:`prepare` over the
-        expanded access stream (and returns ``False``) when the trace
-        has multi-block requests (whose per-block expansion the kernels
-        do not model).
+        same floats — from the trace's per-block access columns
+        (:meth:`~repro.traces.columnar.ColumnarTrace.block_accesses`),
+        deriving the next-occurrence arrays with one stable lexsort
+        (:func:`repro.core.kernels.next_access_arrays`) instead of the
+        reverse Python loop. Returns the access trace.
 
         Only ``_next_time`` is materialized as a Python list eagerly
         (the fused loops iterate it directly); ``_times``, ``_keys``,
         ``_next_pos`` and ``_first_pos`` are built on first attribute
         access via ``__getattr__`` — the fused engine loops never read
-        them, and at a million requests each deferred ``tolist`` or
+        them, and at a million accesses each deferred ``tolist`` or
         dict build saves hundreds of milliseconds of boxing.
         """
         from repro.core import kernels
 
-        if len(trace) and not bool((trace.nblocks == 1).all()):
-            self.prepare(trace.iter_accesses())
-            return False
+        accesses, _ = trace.block_accesses()
         next_pos, next_time, first_mask = kernels.next_access_arrays(
-            trace.disks, trace.blocks, trace.times
+            accesses.disks, accesses.blocks, accesses.times
         )
         for name in self._LAZY_ATTRS:
             self.__dict__.pop(name, None)
-        self._lazy_cols = (trace.disks, trace.blocks, trace.times, next_pos)
+        self._lazy_cols = (
+            accesses.disks, accesses.blocks, accesses.times, next_pos
+        )
         self._next_time = next_time.tolist()
         self._first_mask = first_mask
         self._cursor = 0
         self._prepared = True
-        return True
+        return accesses
 
     def __getattr__(self, name: str):
         # Deferred materialization of the columnar-prepare products the

@@ -14,6 +14,7 @@ standard Kirsch–Mitzenmacher construction.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,6 +25,11 @@ _MASK64 = (1 << 64) - 1
 # splitmix64-style multipliers — fixed, so results are reproducible.
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_STEP_SALT = 0x9E3779B97F4A7C15
+#: Filter bit ``pos`` is bit ``pos & 7`` of byte ``(pos >> 3) ^ _FLIP``
+#: of the native-order words: byte ``pos >> 3`` on a little-endian
+#: host, the mirrored byte of the same word on a big-endian one.
+_FLIP = 0 if sys.byteorder == "little" else 7
 
 
 def _mix(x: int) -> int:
@@ -39,10 +45,20 @@ def _mix(x: int) -> int:
 class BloomFilter:
     """Fixed-size Bloom filter over ``(disk_id, block)`` keys.
 
+    Probe ``i`` of a key reads bit ``(base + i * step) mod 2**64 mod
+    num_bits``, where ``base`` and ``step`` are the key's two splitmix64
+    mixes. The bits live in ``_words``, a numpy ``uint64`` array (the
+    form the batch kernel hands over and snapshots pack); probes read
+    and set them through a byte view of the same buffer, built on first
+    use and dropped whenever ``_words`` is rebound.
+
     Args:
         num_bits: Size of the bit vector (rounded up to a multiple of 64).
         num_hashes: Number of probes per key (``k``).
     """
+
+    #: The byte view of ``_words``; ``None`` until a probe builds it.
+    _bytes: memoryview | None = None
 
     def __init__(self, num_bits: int = 1 << 22, num_hashes: int = 4) -> None:
         if num_bits < 64:
@@ -54,42 +70,84 @@ class BloomFilter:
         self._words = np.zeros(self.num_bits // 64, dtype=np.uint64)
         self._count = 0  # distinct insertions (approximate population)
 
-    def _positions(self, key: tuple[int, int]) -> list[int]:
+    @property
+    def _words(self) -> np.ndarray:
+        return self._array
+
+    @_words.setter
+    def _words(self, words: np.ndarray) -> None:
+        self._array = words
+        self._bytes = None
+
+    def _bind_bytes(self) -> memoryview:
+        self._bytes = memoryview(self._array).cast("B")
+        return self._bytes
+
+    def __getstate__(self) -> dict:
+        # A memoryview neither pickles nor copies; the copy builds its
+        # own on first use.
+        state = self.__dict__.copy()
+        state.pop("_bytes", None)
+        return state
+
+    def _start(self, key: tuple[int, int]) -> tuple[int, int]:
+        """The key's first probe hash and its double-hashing step."""
         disk, block = key
         base = _mix((disk << 48) ^ block)
-        step = _mix(base ^ 0x9E3779B97F4A7C15) | 1
-        return [
-            ((base + i * step) & _MASK64) % self.num_bits
-            for i in range(self.num_hashes)
-        ]
+        return base, _mix(base ^ _STEP_SALT) | 1
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        words = self._words
-        for pos in self._positions(key):
-            if not (int(words[pos >> 6]) >> (pos & 63)) & 1:
+        h, step = self._start(key)
+        view = self._bytes or self._bind_bytes()
+        num_bits = self.num_bits
+        for _ in range(self.num_hashes):
+            pos = h % num_bits
+            if not view[(pos >> 3) ^ _FLIP] >> (pos & 7) & 1:
                 return False
+            h = (h + step) & _MASK64
         return True
 
     def add(self, key: tuple[int, int]) -> None:
-        words = self._words
-        for pos in self._positions(key):
-            words[pos >> 6] |= np.uint64(1 << (pos & 63))
+        h, step = self._start(key)
+        view = self._bytes or self._bind_bytes()
+        num_bits = self.num_bits
+        for _ in range(self.num_hashes):
+            pos = h % num_bits
+            view[(pos >> 3) ^ _FLIP] |= 1 << (pos & 7)
+            h = (h + step) & _MASK64
         self._count += 1
 
     def check_and_add(self, key: tuple[int, int]) -> bool:
         """Return whether ``key`` was (probably) present, inserting it.
 
         This is the single operation PA performs per miss: a ``False``
-        result certifies a cold miss.
+        result certifies a cold miss. Both mixes are inlined.
         """
-        words = self._words
+        disk, block = key
+        x = ((disk << 48) ^ block) & _MASK64
+        x ^= x >> 30
+        x = (x * _MUL1) & _MASK64
+        x ^= x >> 27
+        x = (x * _MUL2) & _MASK64
+        h = x ^ (x >> 31)
+        x = h ^ _STEP_SALT
+        x ^= x >> 30
+        x = (x * _MUL1) & _MASK64
+        x ^= x >> 27
+        x = (x * _MUL2) & _MASK64
+        step = x ^ (x >> 31) | 1
+        view = self._bytes or self._bind_bytes()
+        num_bits = self.num_bits
         present = True
-        for pos in self._positions(key):
-            word = pos >> 6
-            bit = np.uint64(1 << (pos & 63))
-            if not int(words[word]) & int(bit):
+        for _ in range(self.num_hashes):
+            pos = h % num_bits
+            i = (pos >> 3) ^ _FLIP
+            byte = view[i]
+            bit = 1 << (pos & 7)
+            if not byte & bit:
                 present = False
-                words[word] |= bit
+                view[i] = byte | bit
+            h = (h + step) & _MASK64
         if not present:
             self._count += 1
         return present

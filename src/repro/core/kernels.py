@@ -5,11 +5,13 @@ The scalar classifier/OPG machinery (:mod:`repro.core.bloom`,
 :mod:`repro.core.opg`) processes one access at a time; at millions of
 requests those per-access Python frames dominate the simulation. Every
 function here re-expresses one of those loops as a numpy batch kernel
-over the struct-of-arrays columns of a
-:class:`~repro.traces.columnar.ColumnarTrace`:
+over the per-block access columns of a
+:class:`~repro.traces.columnar.ColumnarTrace`, one row per block a
+request touches
+(:meth:`~repro.traces.columnar.ColumnarTrace.block_accesses`):
 
 * :func:`bloom_cold_mask` — the classifier's cold-miss Bloom filter as
-  batched splitmix64 hashing over request chunks,
+  batched splitmix64 hashing over key chunks,
 * :func:`epoch_boundary_table` / :func:`epoch_roll_counts` — epoch
   rollover as a precomputed boundary table plus one ``searchsorted``,
 * :func:`histogram_counts` / :func:`histogram_quantile` — the per-disk
@@ -86,14 +88,14 @@ def bloom_cold_mask(disks, blocks, num_bits: int, num_hashes: int,
     filter acquires exactly the first occurrence of each key, in trace
     order, and every later occurrence probes all-set bits. This kernel
     exploits that to compute the cold/warm verdict of **every** access
-    position up front — batched hashing over request chunks — without
+    position up front — batched hashing over key chunks — without
     knowing which accesses will actually miss.
 
     Verdicts are exact, including false positives: within a chunk, a
     key whose probe bits were clear before the chunk is warm only if
     every such bit is set by a *strictly earlier* insertion in the same
-    chunk (resolved with a lexsort over (bit, row) pairs), which is
-    precisely the scalar check-then-set order.
+    chunk (resolved with a stable sort of the chunk's probe bits),
+    which is precisely the scalar check-then-set order.
 
     Args:
         disks / blocks: Equal-length integer columns of the access
@@ -148,20 +150,25 @@ def bloom_cold_mask(disks, blocks, num_bits: int, num_hashes: int,
         if pending.any():
             # A probe bit clear before the chunk still reads as set if
             # an earlier row in the chunk probes (and therefore sets)
-            # it first: find each bit's earliest prober via a stable
-            # (bit, row) lexsort and take the group heads.
-            rows = np.repeat(row_ids[:span], num_hashes)
+            # it first: find each bit's earliest prober. The flat order
+            # is row-major, so a stable sort by bit keeps each bit's
+            # probers in row order and its group head is the earliest;
+            # a running maximum of head indices broadcasts the head to
+            # the rest of its group.
             flat_pos = pos.reshape(-1)
-            order = np.lexsort((rows, flat_pos))
+            order = np.argsort(flat_pos, kind="stable")
             sorted_pos = flat_pos[order]
-            sorted_row = rows[order]
-            head = np.empty(len(sorted_pos), dtype=bool)
+            head = np.empty(len(order), dtype=bool)
             head[0] = True
             head[1:] = sorted_pos[1:] != sorted_pos[:-1]
-            group_pos = sorted_pos[head]
-            group_min_row = sorted_row[head]
-            min_row = group_min_row[np.searchsorted(group_pos, pos)]
-            available = set_pre | (min_row < row_ids[:span, None])
+            head_at = np.maximum.accumulate(
+                np.where(head, np.arange(len(order)), 0)
+            )
+            min_row = np.empty(len(order), dtype=np.int64)
+            min_row[order] = order[head_at] // num_hashes
+            available = set_pre | (
+                min_row.reshape(span, num_hashes) < row_ids[:span, None]
+            )
             warm = available.all(axis=1)
         cold_first[lo:hi] = ~warm
         np.bitwise_or.at(words, word_idx.reshape(-1), bit.reshape(-1))

@@ -108,15 +108,14 @@ class OPGPolicy(OfflinePolicy):
         for key, first in self._first_pos.items():
             self._timeline(key[0]).insert(self._times[first])
 
-    def prepare_columnar(self, trace) -> bool:
+    def prepare_columnar(self, trace):
         """Vectorized :meth:`prepare`: next-access arrays via the base
         lexsort kernel, then the deterministic-miss seeding as a
         sorted-array sweep (per-disk unique first-access times bulk-
         loaded with :meth:`DiskTimeline.from_sorted`) instead of one
         O(n) list insert per distinct key. State is bit-identical to
-        the scalar path."""
-        if not super().prepare_columnar(trace):
-            return False  # scalar prepare() ran, seeding included
+        the scalar path. Returns the access trace."""
+        accesses = super().prepare_columnar(trace)
         from repro.core import kernels
 
         # trace.times[-1] is the same float64 _times[-1] would hold;
@@ -126,13 +125,13 @@ class OPGPolicy(OfflinePolicy):
         self._res = {}
         self._trace_end = end + self.tail_s
         for disk, first_times in kernels.first_times_by_disk(
-            trace.disks, trace.times, self._first_mask
+            accesses.disks, accesses.times, self._first_mask
         ):
             self._timelines[disk] = DiskTimeline.from_sorted(
                 first_times, start=self._start_time, end=self._trace_end
             )
             self._res[disk] = ChunkedSortedList()
-        return True
+        return accesses
 
     def _timeline(self, disk: int) -> DiskTimeline:
         tl = self._timelines.get(disk)

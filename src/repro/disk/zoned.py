@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.disk.geometry import DiskAddress, DiskGeometry
 from repro.errors import ConfigurationError
-from repro.units import SECTOR_SIZE
 
 
 @dataclass(frozen=True)

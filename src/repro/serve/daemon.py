@@ -607,7 +607,11 @@ async def serve_until_drained(config: ServeConfig, *, out=None) -> ServeDaemon:
     # Checkpoint restore in __init__ is a deliberate synchronous read:
     # nothing is served until the state is fully loaded.
     daemon = ServeDaemon(config, out=out)  # repro: ignore[asyncsafe]
-    await daemon.start()
+    # Before start(), which prints READY: a SIGTERM sent on READY must
+    # find the drain handler, not the default one that kills the
+    # process. A drain requested before the listeners are bound still
+    # ends with FINAL: the feed worker finds it as soon as it starts.
     daemon.install_signal_handlers()
+    await daemon.start()
     await daemon.wait_closed()
     return daemon

@@ -23,6 +23,8 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Sequence
 
+import numpy as np
+
 from repro.cache.block import BlockState
 from repro.cache.cache import StorageCache
 from repro.cache.policies.base import OfflinePolicy, ReplacementPolicy
@@ -218,8 +220,6 @@ class StorageSimulator:
         """
         if isinstance(self.policy, OfflinePolicy):
             if isinstance(self.trace, ColumnarTrace):
-                # Vectorized where possible; falls back to the scalar
-                # prepare() internally (bit-identical either way).
                 self.policy.prepare_columnar(self.trace)
             else:
                 self.policy.prepare(iter_accesses(self.trace))
@@ -288,13 +288,16 @@ class StorageSimulator:
         Picks a policy-fused loop when its gate holds, else the generic
         :meth:`_run_columnar_fast`. All of them read the trace straight
         out of the columns: no :class:`IORequest` objects, per-request
-        attribute lookups hoisted into locals, and the single-block case
-        (the paper's workloads are block-granular) fully inlined.
+        attribute lookups hoisted into locals, and the per-block access
+        fully inlined. The generic loop walks a multi-block request's
+        blocks in an inner loop; the fused loops, whose batch-kernel
+        plans are per access, run over the trace's per-block access
+        columns (:meth:`ColumnarTrace.block_accesses`) and fold each
+        request's accesses back into one response, the slowest.
         """
         trace: ColumnarTrace = self.trace
         if len(trace) == 0:
             return 0.0
-        times, disks, blocks, nblocks, writes = trace.as_lists()
         # The hot loops allocate tracked objects (heap tuples, res
         # items, block states) by the million while holding large live
         # container graphs, so generational GC rescans cost 10-15% of
@@ -305,12 +308,21 @@ class StorageSimulator:
         if was_enabled:
             gc.disable()
         try:
-            fused = self._fused_loop_for(trace)
-            if fused is not None:
-                return fused(trace, times, disks, blocks, writes)
-            return self._run_columnar_fast(
-                times, disks, blocks, nblocks, writes
-            )
+            fused = self._fused_loop_for()
+            if fused is None:
+                return self._run_columnar_fast(*trace.as_lists())
+            accesses, starts = trace.block_accesses()
+            times, disks, blocks, _, writes = accesses.as_lists()
+            responses = self._responses
+            first = len(responses)
+            last_time = fused(accesses, times, disks, blocks, writes)
+            if starts is not None:
+                slowest = np.maximum.reduceat(
+                    np.array(responses[first:]), starts
+                )
+                del responses[first:]
+                responses.extend(slowest.tolist())
+            return last_time
         finally:
             if was_enabled:
                 gc.enable()
@@ -365,14 +377,18 @@ class StorageSimulator:
         for time, disk, block, count, is_write in zip(
             times, disks, blocks_col, counts, writes
         ):
-            if count == 1:
+            # A request is its blocks' accesses at one instant, in block
+            # order (``IORequest.block_keys``); its response is the
+            # slowest block's.
+            n_acc += count
+            if is_write:
+                n_write += count
+            else:
+                n_read += count
+            worst = hit_latency
+            end = block + count
+            while block < end:
                 key = (disk, block)
-                n_acc += 1
-                if is_write:
-                    n_write += 1
-                else:
-                    n_read += 1
-                worst = hit_latency
                 state = blocks_get(key)
                 if state is not None:
                     n_hit += 1
@@ -435,39 +451,8 @@ class StorageSimulator:
                             after_read_wake(disk, time, woke=wake_delay > 0)
                         if prefetcher is not None:
                             self._prefetch(key, wake_delay > 0, time)
-                append_response(worst)
-            else:
-                # Multi-block requests are rare; go through the cache's
-                # regular access path (its counters update CacheStats
-                # directly, which composes with the local counters).
-                cache_access = cache.access
-                worst = hit_latency
-                for i in range(count):
-                    key = (disk, block + i)
-                    outcome = cache_access(key, time, is_write)
-                    latency = hit_latency
-                    if is_write:
-                        for victim, vstate in outcome.evicted:
-                            on_evicted(victim, vstate, time)
-                        write_latency = on_write(key, time)
-                        if write_latency > latency:
-                            latency = write_latency
-                    elif not outcome.hit:
-                        read_latency, wake_delay = quick[disk](
-                            time, block + i, False
-                        )
-                        disk_reads += 1
-                        if read_latency > latency:
-                            latency = read_latency
-                        for victim, vstate in outcome.evicted:
-                            on_evicted(victim, vstate, time)
-                        if after_read_wake is not None:
-                            after_read_wake(disk, time, woke=wake_delay > 0)
-                        if prefetcher is not None:
-                            self._prefetch(key, wake_delay > 0, time)
-                    if latency > worst:
-                        worst = latency
-                append_response(worst)
+                block += 1
+            append_response(worst)
         stats.accesses += n_acc
         stats.read_accesses += n_read
         stats.write_accesses += n_write
@@ -480,15 +465,14 @@ class StorageSimulator:
         self._disk_reads += disk_reads
         return time
 
-    def _fused_loop_for(self, trace: ColumnarTrace):
+    def _fused_loop_for(self):
         """Pick a policy-fused columnar loop, or ``None``.
 
         The fused loops (``_run_columnar_fast_pa`` /
         ``_run_columnar_fast_opg``) consume precomputed batch-kernel
         plans (:mod:`repro.core.kernels`) and inline the policy state
         machine, so their gates are strict: exact policy types (a
-        subclass could override any hook), a single-block trace (the
-        kernels model one access per request), no prefetcher (prefetch
+        subclass could override any hook), no prefetcher (prefetch
         admissions would desynchronize the precomputed Bloom/next-access
         plans). The OPG loop additionally requires
         a write policy that never pins blocks (``pins_blocks``): it
@@ -497,8 +481,6 @@ class StorageSimulator:
         ``_run_columnar_fast`` with polymorphic policy calls.
         """
         if self.prefetcher is not None:
-            return None
-        if len(trace) and not bool((trace.nblocks == 1).all()):
             return None
         policy = self.policy
         if (

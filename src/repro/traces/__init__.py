@@ -85,6 +85,7 @@ __all__ = [
     "generate_tenant_trace",
     "import_to_csv",
     "import_trace",
+    "iter_accesses",
     "sniff_format",
     "trace_fingerprint",
 ]

@@ -199,19 +199,36 @@ class ColumnarTrace:
                 nblocks=count, is_write=write,
             )
 
-    def iter_accesses(self) -> Iterator[tuple[float, tuple[int, int]]]:
-        """Stream the per-block ``(time, key)`` access sequence.
+    def block_accesses(self) -> tuple["ColumnarTrace", np.ndarray | None]:
+        """The per-block access stream, expanded with numpy.
 
-        This is the exact ``on_access`` stream the cache will issue —
-        what offline policies are prepared with — produced without
-        materializing request objects or the flattened list.
+        A request of ``nblocks`` blocks becomes ``nblocks`` single-block
+        rows at its time, in block order — the accesses
+        :meth:`IORequest.block_keys` gives the ``handle_request``
+        reference, and the exact ``on_access`` stream offline policies
+        are prepared with.
+
+        Returns:
+            ``(accesses, starts)``: the access trace and each request's
+            first row in it (the ``np.maximum.reduceat`` indices that
+            fold per-access responses back into per-request ones), or
+            ``(self, None)`` when every request is single-block already.
         """
-        for time, disk, block, count, _ in zip(*self.as_lists()):
-            if count == 1:
-                yield (time, (disk, block))
-            else:
-                for i in range(count):
-                    yield (time, (disk, block + i))
+        counts = self.nblocks
+        if bool((counts == 1).all()):
+            return self, None
+        starts = np.zeros(len(counts), dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        offsets = np.arange(int(counts.sum()), dtype=np.int64)
+        offsets -= np.repeat(starts, counts)
+        accesses = ColumnarTrace(
+            np.repeat(self.times, counts),
+            np.repeat(self.disks, counts),
+            np.repeat(self.blocks, counts) + offsets,
+            np.ones(len(offsets), dtype=np.int64),
+            np.repeat(self.is_write, counts),
+        )
+        return accesses, starts
 
     def as_lists(self) -> tuple[list, list, list, list, list]:
         """The five columns as plain Python lists (fastest to iterate).

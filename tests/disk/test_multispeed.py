@@ -58,7 +58,7 @@ class TestAllSpeedServiceDisk:
         assert r_slow.breakdown.total_s == pytest.approx(
             r_fast.breakdown.total_s
         )  # both start at full speed
-        fast2 = fast.submit(12.0, 100)
+        fast.submit(12.0, 100)
         slow2 = slow.submit(12.0, 100)
         # reduced-speed service: transfer takes longer than full speed
         assert slow2.breakdown.transfer_s > r_slow.breakdown.transfer_s

@@ -124,5 +124,4 @@ class TestPrefetchEvictionInterplay:
         )
         assert result.prefetch_admissions > 0
         # conservation: every write either reached a disk or is dirty
-        write_accesses = 2000 - result.disk_reads - result.cache_hits
         assert result.disk_writes + result.pending_dirty > 0

@@ -4,8 +4,6 @@ import math
 
 import pytest
 
-from repro.power.envelope import EnergyEnvelope
-
 
 class TestLines:
     def test_mode0_line_through_origin(self, envelope):

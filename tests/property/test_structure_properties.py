@@ -1,7 +1,5 @@
 """Property-based tests for supporting data structures (hypothesis)."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

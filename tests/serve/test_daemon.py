@@ -11,13 +11,19 @@ bit-for-bit against the batch engine.
 import asyncio
 import gc
 import json
+import signal
 import weakref
 
 import pytest
 
 from repro import run_simulation
 from repro.serve.checkpoint import checkpoint_path, latest_checkpoint
-from repro.serve.daemon import ServeConfig, ServeDaemon, result_digest
+from repro.serve.daemon import (
+    ServeConfig,
+    ServeDaemon,
+    result_digest,
+    serve_until_drained,
+)
 from repro.serve.protocol import format_request, parse_response_line
 from repro.traces.record import IORequest
 from repro.traces.synthetic import (
@@ -433,3 +439,63 @@ class TestHttpSurface:
         # drain checkpoint is always written at the full count
         assert names[-1] == "checkpoint-000000000100.json"
         assert len(names) >= 3
+
+
+class _Lines:
+    """An ``out`` stream that keeps whole lines and, when ``READY`` is
+    written, records the SIGTERM disposition in force at that moment."""
+
+    def __init__(self):
+        self.lines = []
+        self.sigterm_at_ready = None
+
+    def write(self, text):
+        if text.startswith("READY"):
+            self.sigterm_at_ready = signal.getsignal(signal.SIGTERM)
+        if text.strip():
+            self.lines.append(text)
+
+    def flush(self):
+        pass
+
+
+class TestSignals:
+    def test_sigterm_handler_is_installed_before_ready(self):
+        out = _Lines()
+
+        async def scenario():
+            task = asyncio.ensure_future(
+                serve_until_drained(
+                    ServeConfig(session_params=dict(SESSION)), out=out
+                )
+            )
+            while out.sigterm_at_ready is None and not task.done():
+                await asyncio.sleep(0.01)
+            if out.sigterm_at_ready is signal.SIG_DFL:
+                # a SIGTERM now would kill the test process
+                task.cancel()
+                return None
+            signal.raise_signal(signal.SIGTERM)
+            return await asyncio.wait_for(task, timeout=30)
+
+        daemon = run(scenario())
+        assert out.sigterm_at_ready is not signal.SIG_DFL
+        assert daemon.exit_code == 0
+        assert out.lines[-1].startswith("FINAL")
+
+    def test_drain_requested_before_start_still_finishes(self):
+        out = _Lines()
+
+        async def scenario():
+            daemon = ServeDaemon(
+                ServeConfig(session_params=dict(SESSION)), out=out
+            )
+            daemon.request_drain()
+            await daemon.start()
+            await asyncio.wait_for(daemon.wait_closed(), timeout=30)
+            return daemon
+
+        daemon = run(scenario())
+        assert daemon.exit_code == 0
+        assert [line.split()[0] for line in out.lines] == ["READY", "FINAL"]
+        assert json.loads(out.lines[-1].partition(" ")[2])["served"] == 0

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.errors import TraceError
-from repro.sim.runner import run_simulation
+from repro.sim.runner import POLICY_NAMES, WRITE_POLICY_NAMES, run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
@@ -107,7 +107,7 @@ def test_traced_columnar_loop_matches_fast_loop(traces):
     """With an event probe attached, a columnar trace runs row by row
     through ``handle_request``; the simulated numbers must not depend
     on which loop ran. Covers the generic, fused PA-LRU and fused OPG
-    loops, and the generic loop's multi-block branch on a CDN trace."""
+    loops, and the generic loop on a multi-block CDN trace."""
     _, columnar = traces
     cdn = generate_cdn_trace(
         CDNTraceConfig(duration_s=12.0, num_disks=5, write_ratio=0.2, seed=11)
@@ -122,6 +122,52 @@ def test_traced_columnar_loop_matches_fast_loop(traces):
         assert a.pop("trace_metrics") is not None
         b.pop("trace_metrics", None)
         assert a == b, name
+
+
+# -- multi-block requests ---------------------------------------------------
+
+#: A small cache and short PA epochs, so the multi-block cases evict,
+#: write back and reclassify within the short CDN trace.
+MULTIBLOCK_KWARGS = {"cache_blocks": 128, "pa_epoch_s": 1.0}
+
+
+@pytest.fixture(scope="module")
+def cdn_traces():
+    columnar = generate_cdn_trace(
+        CDNTraceConfig(duration_s=5.0, num_disks=5, write_ratio=0.2, seed=11)
+    )
+    assert int(columnar.nblocks.max()) > 1
+    return columnar.to_requests(), columnar
+
+
+def _assert_multiblock_identical(cdn_traces, **kwargs):
+    reference, columnar = cdn_traces
+    kwargs = {**MULTIBLOCK_KWARGS, **kwargs}
+    assert _serialized(reference, **kwargs) == _serialized(columnar, **kwargs)
+
+
+@pytest.mark.parametrize("write_policy", WRITE_POLICY_NAMES)
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_multiblock_policies_byte_identical(cdn_traces, policy, write_policy):
+    """Every policy and write policy on a multi-block trace: the fast
+    loops run each request as its blocks' accesses in block order and
+    answer with the slowest, as ``handle_request`` does."""
+    _assert_multiblock_identical(
+        cdn_traces, policy=policy, write_policy=write_policy
+    )
+
+
+@pytest.mark.parametrize("dpm", ["oracle", "always_on", "adaptive"])
+@pytest.mark.parametrize("policy", ["lru", "pa-lru", "opg"])
+def test_multiblock_dpm_schemes_byte_identical(cdn_traces, policy, dpm):
+    _assert_multiblock_identical(cdn_traces, policy=policy, dpm=dpm)
+
+
+@pytest.mark.parametrize(
+    "policy", [p for p in POLICY_NAMES if p not in ("belady", "opg")]
+)
+def test_multiblock_prefetch_byte_identical(cdn_traces, policy):
+    _assert_multiblock_identical(cdn_traces, policy=policy, prefetch_depth=4)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

@@ -8,7 +8,8 @@ seeded synthetic trace, runs it through both the reference
 fully serialized results byte for byte. It also pins the epoch-machinery
 edge cases on hand-built traces: empty epochs, a single-request trace,
 all-cold workloads, and an epoch boundary landing exactly on a request
-timestamp.
+timestamp. Multi-block traces run the fused loops over their per-block
+access columns; their tests pin that too.
 
 A handful of seeds run in the fast suite; a wider, longer sweep sits
 behind ``-m slow``.
@@ -18,6 +19,7 @@ import json
 
 import pytest
 
+from repro.sim.engine import StorageSimulator
 from repro.sim.runner import run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
@@ -25,6 +27,7 @@ from repro.traces.synthetic import (
     SyntheticTraceConfig,
     generate_synthetic_trace_columnar,
 )
+from repro.traces.zoo import CDNTraceConfig, generate_cdn_trace
 
 FAST_SEEDS = (11, 12, 13, 14)
 SLOW_SEEDS = tuple(range(100, 116))
@@ -152,3 +155,80 @@ def test_duplicate_timestamps_across_disks():
         t = float(i // 4)  # four requests share each timestamp
         reqs.append(IORequest(time=t, disk=i % 2, block=i % 8))
     _assert_handmade(reqs, num_disks=2, cache_blocks=4, pa_epoch_s=2.0)
+
+
+# -- multi-block requests on the fused loops -------------------------------
+
+
+def _cdn(seed, num_disks):
+    trace = generate_cdn_trace(
+        CDNTraceConfig(
+            duration_s=4.0, num_disks=num_disks, write_ratio=0.3, seed=seed
+        )
+    )
+    assert int(trace.nblocks.max()) > 1
+    return trace
+
+
+def test_fused_loops_run_multiblock_traces(monkeypatch):
+    """PA-LRU and OPG keep their fused loops on a multi-block trace."""
+
+    def generic_loop(*args, **kwargs):
+        raise AssertionError("the generic loop ran")
+
+    monkeypatch.setattr(StorageSimulator, "_run_columnar_fast", generic_loop)
+    trace = _cdn(21, num_disks=3)
+    for kwargs in POLICIES.values():
+        _serialized(trace, num_disks=3, **kwargs)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed, num_disks", [(21, 3), (22, 7)])
+def test_multiblock_trace_differential(policy, seed, num_disks):
+    trace = _cdn(seed, num_disks)
+    kwargs = {**POLICIES[policy], "pa_epoch_s": 1.0, "cache_blocks": 64}
+    assert _serialized(
+        trace.to_requests(), num_disks=num_disks, **kwargs
+    ) == _serialized(trace, num_disks=num_disks, **kwargs)
+
+
+def test_write_longer_than_the_cache_evicts_its_own_blocks():
+    # A 10-block write into a 4-block cache: its later blocks evict its
+    # earlier, already-dirty ones, which write back at the same instant.
+    reqs = [
+        IORequest(time=0.0, disk=0, block=100, nblocks=2),
+        IORequest(time=1.0, disk=0, block=0, nblocks=10, is_write=True),
+        IORequest(time=2.0, disk=1, block=7, nblocks=3),
+        IORequest(time=3.0, disk=0, block=4, nblocks=8),
+        IORequest(time=4.0, disk=0, block=100),
+    ]
+    _assert_handmade(reqs, num_disks=2, cache_blocks=4, pa_epoch_s=2.0)
+
+
+def test_multiblock_request_over_resident_blocks():
+    # The 4-block read finds its middle blocks resident (hits between
+    # misses); the write then covers resident and absent blocks alike.
+    reqs = [
+        IORequest(time=0.0, disk=0, block=5),
+        IORequest(time=0.5, disk=0, block=6, is_write=True),
+        IORequest(time=1.0, disk=0, block=4, nblocks=4),
+        IORequest(time=2.0, disk=1, block=9),
+        IORequest(time=3.0, disk=0, block=3, nblocks=6, is_write=True),
+        IORequest(time=9.0, disk=0, block=5, nblocks=2),
+    ]
+    _assert_handmade(reqs, num_disks=2, cache_blocks=6, pa_epoch_s=2.0)
+
+
+def test_epoch_boundary_at_a_multiblock_request():
+    # t = 30 and t = 60 are epoch boundaries: the classifier rolls
+    # before the first block of the request at that instant and not
+    # again for its later blocks.
+    reqs = [
+        IORequest(time=0.0, disk=0, block=1, nblocks=3),
+        IORequest(time=15.0, disk=1, block=2),
+        IORequest(time=30.0, disk=0, block=1, nblocks=4),
+        IORequest(time=30.0, disk=1, block=3, nblocks=2, is_write=True),
+        IORequest(time=60.0, disk=1, block=2, nblocks=5),
+        IORequest(time=61.0, disk=0, block=2, nblocks=2),
+    ]
+    _assert_handmade(reqs, num_disks=2, pa_epoch_s=30.0, cache_blocks=5)

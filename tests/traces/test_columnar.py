@@ -58,15 +58,23 @@ class TestRoundTrip:
         assert nblocks == [1, 4, 1, 2]
 
     def test_iter_accesses_expands_multiblock(self):
+        # The vectorized expansion is block_keys() over every request,
+        # in order, with each request's time and direction.
         trace = ColumnarTrace.from_requests(_requests())
-        accesses = list(trace.iter_accesses())
-        assert accesses[0] == (0.0, (0, 10))
-        assert accesses[1:5] == [
-            (0.5, (1, 20)),
-            (0.5, (1, 21)),
-            (0.5, (1, 22)),
-            (0.5, (1, 23)),
+        accesses, starts = trace.block_accesses()
+        expected = [
+            (req.time, key, req.is_write)
+            for req in trace.to_requests()
+            for key in req.block_keys()
         ]
+        assert [
+            (req.time, (req.disk, req.block), req.is_write)
+            for req in accesses.to_requests()
+        ] == expected
+        assert accesses.nblocks.tolist() == [1] * len(expected)
+        assert starts.tolist() == [0, 1, 5, 6]
+        single = trace[:1]  # already one access per row
+        assert single.block_accesses() == (single, None)
 
     def test_from_csv_matches_from_requests(self, tmp_path):
         requests = _requests()
