@@ -219,7 +219,7 @@ class CampaignSpec:
     def grid_size(self) -> int:
         return math.prod(len(values) for values in self.axes.values())
 
-    def load_workload(self) -> Sequence[IORequest] | Callable:
+    def load_workload(self) -> ColumnarTrace | Callable:
         """The fixed trace, or a picklable per-point factory."""
         if "file" in self.trace:
             return ColumnarTrace.from_csv(self.base_dir / self.trace["file"])
@@ -244,13 +244,7 @@ class CampaignSpec:
                 "num_disks must be given when the workload is generated "
                 "per grid point"
             )
-        if not len(workload):
-            return 1
-        disks = getattr(workload, "disks", None)
-        if disks is not None:
-            # columnar trace: read the column, skip boxing every row
-            return int(max(disks)) + 1
-        return max(r.disk for r in workload) + 1
+        return workload.num_disks()
 
 
 def run_campaign(

@@ -15,9 +15,8 @@ Event classes are recognised structurally: any class transitively
 subclassing a class named ``Event``. Emission sites are calls whose
 target is (or ends in) one of the publishing conventions — the
 engine's ``self.probe(...)``/bare ``probe(...)``, the generic
-``emit``/``publish``, and the serve daemon's direct-dispatch
-``self.bus(...)`` (an :class:`~repro.observe.bus.EventBus` is
-callable).
+``emit``/``publish``, and a direct ``bus(...)`` dispatch (an
+:class:`~repro.observe.bus.EventBus` is callable).
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from repro.check.project import ModuleInfo, Project
 
 EVENT_BASE = "Event"
 
-#: Call targets treated as event publishers. ``bus`` covers the serve
-#: daemon's direct EventBus dispatch (``self.bus(Event(...))``).
+#: Call targets treated as event publishers. ``bus`` covers a direct
+#: EventBus dispatch (``bus(Event(...))``); no module in the tree
+#: dispatches that way now, but dropping it would let one slip by.
 _PROBE_NAMES = frozenset({"probe", "emit", "publish", "bus"})
 
 

@@ -491,15 +491,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _infer_disks(trace) -> int:
-    if not len(trace):
-        return 1
-    disks = getattr(trace, "disks", None)
-    if disks is not None:
-        return int(max(disks)) + 1
-    return max(r.disk for r in trace) + 1
-
-
 def _load(args):
     from repro.errors import ConfigurationError
 
@@ -514,7 +505,7 @@ def _load(args):
         )
     else:
         trace = ColumnarTrace.from_csv(args.trace)
-    disks = args.disks or _infer_disks(trace)
+    disks = args.disks or trace.num_disks()
     return trace, disks
 
 

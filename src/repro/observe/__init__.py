@@ -7,7 +7,7 @@ nullable ``probe`` hook — no-op by default — and sinks consume them:
 
 * :class:`RingBufferSink` — last-N events in memory,
 * :class:`JSONLSink` — JSONL file / campaign journal,
-* :class:`MetricsSink` — streaming counters (surfaced as
+* :class:`MetricsSink` — batch counters (surfaced as
   ``SimulationResult.trace_metrics`` via
   ``run_simulation(..., trace_events=True)`` and the CLI's
   ``--trace-events``),
@@ -15,6 +15,10 @@ nullable ``probe`` hook — no-op by default — and sinks consume them:
   :class:`~repro.errors.InvariantViolation` the moment the stream
   breaks a simulation invariant (also enabled suite-wide by the
   ``REPRO_CHECK_INVARIANTS=1`` environment variable).
+
+The ``repro serve`` daemon publishes no events: its session is
+probe-free and ``/metrics`` reads the simulator's ledgers and response
+samples at scrape time (:mod:`repro.serve.metrics`).
 """
 
 from repro.observe.bus import EventBus, EventSink
@@ -22,19 +26,15 @@ from repro.observe.events import (
     EVENT_TYPES,
     CacheHit,
     CacheMiss,
-    CheckpointTaken,
     DirtyFlush,
     DiskFinalized,
     DiskReclassified,
     DiskService,
     DiskSpinDown,
     DiskSpinUp,
-    DrainStarted,
     EpochRollover,
     Event,
     Evict,
-    IngestAccepted,
-    IngestRejected,
     Insert,
     LogAppend,
     LogFlush,
@@ -44,39 +44,29 @@ from repro.observe.events import (
     StateDwell,
 )
 from repro.observe.invariants import InvariantChecker
-from repro.observe.sinks import (
-    JSONLSink,
-    MetricsSink,
-    P2Quantile,
-    RingBufferSink,
-)
+from repro.observe.sinks import JSONLSink, MetricsSink, RingBufferSink
 
 __all__ = [
     "EVENT_TYPES",
     "CacheHit",
     "CacheMiss",
-    "CheckpointTaken",
     "DirtyFlush",
     "DiskFinalized",
     "DiskReclassified",
     "DiskService",
     "DiskSpinDown",
     "DiskSpinUp",
-    "DrainStarted",
     "EpochRollover",
     "Event",
     "EventBus",
     "EventSink",
     "Evict",
-    "IngestAccepted",
-    "IngestRejected",
     "Insert",
     "InvariantChecker",
     "JSONLSink",
     "LogAppend",
     "LogFlush",
     "MetricsSink",
-    "P2Quantile",
     "RequestComplete",
     "RingBufferSink",
     "SimulationStart",

@@ -21,9 +21,6 @@ Event vocabulary:
 * Faults/recovery — :class:`FaultInjected`, :class:`SpinUpFailed`,
   :class:`RecoveryReplay`.
 * Engine — :class:`SimulationStart`, :class:`RequestComplete`.
-* Online service (:mod:`repro.serve`) — :class:`IngestAccepted`,
-  :class:`IngestRejected`, :class:`CheckpointTaken`,
-  :class:`DrainStarted`.
 
 The energy-carrying disk events are emitted with exactly the joules the
 :class:`~repro.power.accounting.EnergyAccount` ledger records, so a
@@ -311,55 +308,6 @@ class RecoveryReplay(Event):
     replayed: int
 
 
-# -- online service (repro.serve) -----------------------------------------
-
-
-@dataclass(slots=True)
-class IngestAccepted(Event):
-    """The daemon stamped a live request and enqueued it for the
-    simulation session; ``time`` is the stamped simulated arrival.
-    ``queue_depth`` is the ingest-queue depth after the enqueue."""
-
-    kind: ClassVar[str] = "ingest_accepted"
-
-    disk: int
-    queue_depth: int
-
-
-@dataclass(slots=True)
-class IngestRejected(Event):
-    """The bounded ingest queue refused a live request (backpressure).
-
-    The client was told to retry after ``retry_after_s`` seconds;
-    nothing entered the simulation."""
-
-    kind: ClassVar[str] = "ingest_rejected"
-
-    retry_after_s: float
-    queue_depth: int
-
-
-@dataclass(slots=True)
-class CheckpointTaken(Event):
-    """The daemon persisted a restorable checkpoint after ``served``
-    requests; ``path`` is the checkpoint file."""
-
-    kind: ClassVar[str] = "checkpoint_taken"
-
-    served: int
-    path: str
-
-
-@dataclass(slots=True)
-class DrainStarted(Event):
-    """Graceful shutdown began: ingest is closed and the ``pending``
-    already-accepted requests will be served before the daemon exits."""
-
-    kind: ClassVar[str] = "drain_started"
-
-    pending: int
-
-
 #: All concrete event classes, keyed by their ``kind`` tag.
 EVENT_TYPES: dict[str, type[Event]] = {
     cls.kind: cls
@@ -384,9 +332,5 @@ EVENT_TYPES: dict[str, type[Event]] = {
         FaultInjected,
         SpinUpFailed,
         RecoveryReplay,
-        IngestAccepted,
-        IngestRejected,
-        CheckpointTaken,
-        DrainStarted,
     )
 }

@@ -526,53 +526,6 @@ class _SegmentTable:
             e = e + self.res_spinup_e[j]
         return e
 
-    def split_penalty(self, lead: float, follow: float) -> float:
-        """``E(lead) + E(follow) - E(lead + follow)``, clamped at zero.
-
-        The OPG eviction penalty with all three :meth:`energy` lookups
-        fused into one frame — same table values, same operation order,
-        so the result is bit-identical to three separate calls (the
-        fused-path differential tests pin it). ``lead`` and ``follow``
-        must be >= 0 (the caller's geometry guarantees it).
-        """
-        bounds = self.bounds
-        idx = bisect_left(bounds, lead)
-        if idx & 1 and bounds[idx] != lead:
-            e_lead = self.sh_ie_total[idx >> 1]
-        else:
-            j = (idx + 1) >> 1 if idx & 1 else idx >> 1
-            e_lead = (
-                self.res_prefix[j]
-                + (lead - self.res_cursor[j]) * self.res_power[j]
-            )
-            if self.res_mode[j] != 0:
-                e_lead = e_lead + self.res_spinup_e[j]
-        idx = bisect_left(bounds, follow)
-        if idx & 1 and bounds[idx] != follow:
-            e_follow = self.sh_ie_total[idx >> 1]
-        else:
-            j = (idx + 1) >> 1 if idx & 1 else idx >> 1
-            e_follow = (
-                self.res_prefix[j]
-                + (follow - self.res_cursor[j]) * self.res_power[j]
-            )
-            if self.res_mode[j] != 0:
-                e_follow = e_follow + self.res_spinup_e[j]
-        whole = lead + follow
-        idx = bisect_left(bounds, whole)
-        if idx & 1 and bounds[idx] != whole:
-            e_whole = self.sh_ie_total[idx >> 1]
-        else:
-            j = (idx + 1) >> 1 if idx & 1 else idx >> 1
-            e_whole = (
-                self.res_prefix[j]
-                + (whole - self.res_cursor[j]) * self.res_power[j]
-            )
-            if self.res_mode[j] != 0:
-                e_whole = e_whole + self.res_spinup_e[j]
-        penalty = e_lead + e_follow - e_whole
-        return penalty if penalty > 0.0 else 0.0
-
     def mode_after(self, elapsed: float) -> int:
         """Mode occupied after ``elapsed`` idle seconds (target mode
         while mid-transition)."""
@@ -845,14 +798,6 @@ class PracticalDPM(DiskPowerManager):
         if duration < 0:
             raise ValueError(f"idle duration must be >= 0, got {duration}")
         return self._table.energy(duration)
-
-    def split_penalty(self, lead: float, follow: float) -> float:
-        """Fused OPG eviction penalty (see
-        :meth:`_SegmentTable.split_penalty`); bit-identical to
-        ``max(0.0, E(lead) + E(follow) - E(lead + follow))`` computed
-        with three :meth:`idle_energy` calls. Reads ``_table`` afresh so
-        adaptive subclasses that rebuild their schedule stay correct."""
-        return self._table.split_penalty(lead, follow)
 
     def _walk_idle_energy(self, duration: float) -> float:
         """Reference walk for :meth:`idle_energy` (see

@@ -11,16 +11,19 @@ The on-disk format is the state-snapshot
       "params": {"policy": "pa-lru", "...": "..."},
       "state": {"type": "SimulationSession", "served": 10000,
                 "watermark": 1234.5, "simulator": {"...": "..."}},
-      "metrics": {"...": "..."}
+      "metrics": {"type": "MetricsSink", "ingest_accepted": 10000,
+                  "ingest_rejected": 0, "last_queue_depth": 1}
     }
 
 written atomically (temp file + rename, the
 :class:`~repro.campaign.store.ResultStore` discipline) so a crash
 mid-checkpoint never leaves a truncated file behind. ``state`` holds
 each component's ``state_dict()`` (:mod:`repro.snapshot`); ``metrics``
-is the daemon's ``/metrics`` sink (its request, latency and ingest
-series; the engine series come from the ledgers in ``state``), or
-``null`` for a checkpoint written outside a daemon. Restore rebuilds
+holds the daemon's ingest counters
+(:func:`repro.serve.metrics.ingest_state`), or is ``null`` for a
+checkpoint written outside a daemon. Every other ``/metrics`` series
+is read from ``state``'s ledgers and response samples, so a checkpoint
+carries no latency state. Restore rebuilds
 the session from ``params`` and loads ``state`` into it without
 replaying a request, and the restored daemon's continuation is
 bit-identical to one that never stopped (enforced by the property

@@ -24,11 +24,12 @@ synchronous code between awaits, so request boundaries are atomic and
 a checkpoint taken from any handler sees a consistent state.
 
 The session is probe-free, so each fed batch runs on the engine's
-columnar loop. The ``/metrics`` engine series are read from the
-simulator's ledgers at scrape time; the daemon's own
-:class:`~repro.observe.sinks.MetricsSink` is fed the batch latencies
-and, over the daemon's bus, its ingest, checkpoint and drain events
-(:mod:`repro.serve.metrics`).
+columnar loop, and the daemon publishes no events. ``/metrics`` is
+read at scrape time (:mod:`repro.serve.metrics`): the engine series
+from the simulator's ledgers, the request and latency series from its
+response samples, and the ingest series from the ingest queue's
+counters plus those a restored checkpoint carried; a checkpoint's
+``metrics`` holds only those ingest counters.
 
 Concurrency note: ``OK`` responses to a TCP connection are collected
 while a batch is fed and written straight to its transport with one
@@ -53,14 +54,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import ReproError, ServeError
-from repro.observe.bus import EventBus
-from repro.observe.events import (
-    CheckpointTaken,
-    DrainStarted,
-    IngestAccepted,
-    IngestRejected,
-)
-from repro.observe.sinks import MetricsSink
 from repro.serve.checkpoint import (
     checkpoint_path,
     load_checkpoint,
@@ -68,7 +61,13 @@ from repro.serve.checkpoint import (
 )
 from repro.serve.clock import LockstepClock
 from repro.serve.ingest import IngestQueue
-from repro.serve.metrics import render_metrics
+from repro.serve.metrics import (
+    INGEST_KEYS,
+    LatencySeries,
+    ingest_state,
+    load_ingest_state,
+    render_metrics,
+)
 from repro.serve.protocol import (
     IngestLine,
     format_err,
@@ -78,7 +77,6 @@ from repro.serve.protocol import (
 )
 from repro.sim.runner import build_session, restore_session
 from repro.sim.session import SimulationSession
-from repro.snapshot import load_state, state_of
 
 #: Advised backoff while draining (the daemon is going away; clients
 #: should fail over rather than hammer the retry loop).
@@ -115,9 +113,10 @@ class ServeDaemon:
     def __init__(self, config: ServeConfig, *, out=None) -> None:
         self.config = config
         self._out = out if out is not None else sys.stdout
-        self.bus = EventBus()
-        self.metrics = MetricsSink()
-        self.bus.attach(self.metrics)
+        #: The request and latency series, folded at scrape time.
+        self.latency = LatencySeries()
+        #: Ingest counters a restored checkpoint carried.
+        self.restored_ingest = dict.fromkeys(INGEST_KEYS, 0)
         #: Requests restored from a checkpoint (the name predates state
         #: snapshots, when a restore replayed them).
         self.replayed = 0
@@ -150,16 +149,17 @@ class ServeDaemon:
 
     def _restore(self, path: str) -> SimulationSession:
         """Rebuild the checkpointed session and, when the checkpoint
-        carries it, the ``/metrics`` sink; any mismatch is a
+        carries them, the ingest counters; any mismatch is a
         :class:`ServeError` naming the file, raised before a listener
-        opens. The sink's engine counters, which checkpoints from
-        before the ledger-backed ``/metrics`` carry, are loaded but not
-        rendered: the restored ledgers hold those series."""
+        opens. The other series need nothing from ``metrics``: the
+        restored ledgers and response samples hold them, so the other
+        keys of a checkpoint written while they came from events are
+        ignored."""
         cp = load_checkpoint(path)
         try:
             session = restore_session(cp)
             if cp.metrics is not None:
-                load_state(self.metrics, cp.metrics)
+                self.restored_ingest = load_ingest_state(cp.metrics)
         except ReproError as exc:
             raise ServeError(f"cannot restore {path}: {exc}") from exc
         return session
@@ -199,7 +199,6 @@ class ServeDaemon:
         if self._draining:
             return
         self._draining = True
-        self.bus(DrainStarted(time=self.clock.now(), pending=len(self.queue)))
         self._drain_requested.set()
 
     async def wait_closed(self) -> None:
@@ -250,21 +249,7 @@ class ServeDaemon:
             (request, parsed.req_id, client or future)
         )
         if not accepted:
-            self.bus(
-                IngestRejected(
-                    time=self.clock.now(),
-                    retry_after_s=after_s,
-                    queue_depth=len(self.queue),
-                )
-            )
             return format_retry(parsed.req_id, after_s), None
-        self.bus(
-            IngestAccepted(
-                time=request.time,
-                disk=request.disk,
-                queue_depth=len(self.queue),
-            )
-        )
         return None, future
 
     def _stamp(self, parsed: IngestLine) -> float | None:
@@ -292,7 +277,6 @@ class ServeDaemon:
             t0 = time.monotonic()
             latencies = self.session.feed([item[0] for item in batch])
             self.queue.note_drain(len(batch), time.monotonic() - t0)
-            self.metrics.add_latencies(latencies)
             _acknowledge(batch, latencies)
             # Deliberate synchronous write: the checkpoint must be
             # consistent with the session state *at this batch border*,
@@ -387,15 +371,13 @@ class ServeDaemon:
     # -- checkpointing ----------------------------------------------------
 
     def _take_checkpoint(self) -> Path:
-        cp = replace(self.session.checkpoint(), metrics=state_of(self.metrics))
+        cp = replace(
+            self.session.checkpoint(),
+            metrics=ingest_state(self.ingest_series()),
+        )
         path = checkpoint_path(self.config.checkpoint_dir, cp.served)
         save_checkpoint(cp, path)
         self._last_checkpoint_served = cp.served
-        self.bus(
-            CheckpointTaken(
-                time=self.clock.now(), served=cp.served, path=str(path)
-            )
-        )
         return path
 
     def _maybe_periodic_checkpoint(self) -> None:
@@ -476,7 +458,10 @@ class ServeDaemon:
                 200,
                 {},
                 render_metrics(
-                    self.metrics, self.session.simulator, self._gauges()
+                    self.session.simulator,
+                    self.latency,
+                    self.ingest_series(),
+                    self._gauges(),
                 ),
             )
         if method == "GET" and target == "/healthz":
@@ -529,6 +514,24 @@ class ServeDaemon:
             await asyncio.wait(futures)
         lines = [f.result() for f in futures]
         return 200, {}, "\n".join(lines) + ("\n" if lines else "")
+
+    def ingest_series(self) -> dict[str, int]:
+        """The ingest queue's counters on top of those a restored
+        checkpoint carried: the ingest series of ``/metrics`` and the
+        ``metrics`` of this daemon's checkpoints."""
+        queue, restored = self.queue, self.restored_ingest
+        offered = queue.accepted_total + queue.rejected_total
+        return {
+            "ingest_accepted": (
+                restored["ingest_accepted"] + queue.accepted_total
+            ),
+            "ingest_rejected": (
+                restored["ingest_rejected"] + queue.rejected_total
+            ),
+            "last_queue_depth": (
+                queue.last_depth if offered else restored["last_queue_depth"]
+            ),
+        }
 
     def _gauges(self) -> dict[str, float]:
         """The :data:`~repro.serve.metrics.GAUGES` series."""

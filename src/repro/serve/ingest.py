@@ -51,13 +51,11 @@ class IngestQueue:
         self._drain_cost_s = INITIAL_DRAIN_S
         self.accepted_total = 0
         self.rejected_total = 0
+        #: Depth after the last :meth:`offer`, accepted or rejected.
+        self.last_depth = 0
 
     def __len__(self) -> int:
         return len(self._items) - self._start
-
-    @property
-    def depth(self) -> int:
-        return len(self)
 
     def offer(self, item: Any) -> tuple[bool, float]:
         """Try to enqueue; returns ``(accepted, retry_after_s)``.
@@ -65,11 +63,14 @@ class IngestQueue:
         ``retry_after_s`` is 0.0 on acceptance, else the advised
         backoff for the explicit rejection.
         """
-        if len(self) >= self.capacity:
+        depth = len(self)
+        if depth >= self.capacity:
             self.rejected_total += 1
+            self.last_depth = depth
             return False, self.retry_after_s()
         self._items.append(item)
         self.accepted_total += 1
+        self.last_depth = depth + 1
         self._available.set()
         return True, 0.0
 

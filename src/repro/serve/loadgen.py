@@ -5,7 +5,8 @@ comes from the repo's own trace generators (the paper's synthetic
 Zipf mix or the OLTP-like generator), is partitioned round-robin
 across ``users`` concurrent TCP connections, and each user sends,
 awaits the acknowledgement, honours ``RETRY`` backpressure, and
-records client-visible latencies into streaming quantile estimators.
+records client-visible latencies; the report's p50/p95/p99 are exact
+(:meth:`~repro.sim.results.ResponseStats.from_samples`).
 
 Two stamping modes:
 
@@ -27,13 +28,13 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ServeError
-from repro.observe.sinks import P2Quantile
 from repro.serve.protocol import (
     VERB_OK,
     VERB_RETRY,
     format_request,
     parse_response_line,
 )
+from repro.sim.results import ResponseStats
 from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
@@ -158,7 +159,7 @@ async def _run_user(
     config: LoadConfig,
     items: list[tuple],
     report: LoadReport,
-    quantiles: list[P2Quantile],
+    latencies: list[float],
 ) -> None:
     reader, writer = await asyncio.open_connection(config.host, config.port)
     try:
@@ -178,8 +179,7 @@ async def _run_user(
                 response = parse_response_line(raw.decode("ascii").strip())
                 if response.verb == VERB_OK:
                     report.acked += 1
-                    for q in quantiles:
-                        q.add(response.value)
+                    latencies.append(response.value)
                     break
                 if response.verb == VERB_RETRY:
                     report.retried += 1
@@ -203,21 +203,22 @@ async def run_load(config: LoadConfig) -> LoadReport:
     """Drive the full workload; returns the aggregated report."""
     items = generate_workload(config)
     report = LoadReport()
-    quantiles = [P2Quantile(q) for q in (0.5, 0.95, 0.99)]
+    latencies: list[float] = []
     started = time.monotonic()
     if config.users == 1:
-        await _run_user(config, items, report, quantiles)
+        await _run_user(config, items, report, latencies)
     else:
         shards = [items[u :: config.users] for u in range(config.users)]
         await asyncio.gather(
             *(
-                _run_user(config, shard, report, quantiles)
+                _run_user(config, shard, report, latencies)
                 for shard in shards
                 if shard
             )
         )
     report.elapsed_wall_s = time.monotonic() - started
-    report.p50_latency_s = quantiles[0].value()
-    report.p95_latency_s = quantiles[1].value()
-    report.p99_latency_s = quantiles[2].value()
+    stats = ResponseStats.from_samples(latencies)
+    report.p50_latency_s = stats.median_s
+    report.p95_latency_s = stats.p95_s
+    report.p99_latency_s = stats.p99_s
     return report

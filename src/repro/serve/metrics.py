@@ -1,30 +1,36 @@
 """Text rendering for the ``/metrics`` endpoint.
 
-A Prometheus-style exposition with three sources, all read at scrape
-time:
+A Prometheus-style exposition whose series come from two sources, both
+read at scrape time, plus the daemon's own counters:
 
 - **engine series** from ledgers the simulator keeps on every loop
   (:func:`ledger_series`): ``CacheStats`` hits, misses and evictions,
   the write policy's ``disk_writes`` (dirty flushes), each disk's
   ``EnergyAccount`` (spin-ups/downs, energy, idle residency) and the
-  PA classifier's completed epochs. No event stream is needed, so the
-  session runs probe-free on the columnar loop, and a restored session
-  covers its restored prefix through the snapshot's ledgers (even from
-  a checkpoint whose ``metrics`` is ``null``);
-- **request and ingest series** from the daemon's
-  :class:`~repro.observe.sinks.MetricsSink`: the request count, latency
-  sum and P² quantiles it is fed from each batch's latencies, and the
-  ingest counters of its own bus events;
+  PA classifier's completed epochs;
+- **request and latency series** from the session's per-request
+  response samples (:class:`LatencySeries`): the request count, the
+  mean and p50/p95/p99 of a log-bucketed histogram, folded from the
+  samples served since the previous scrape;
+- **ingest series**: the ingest queue's accepted/rejected counts and
+  depth, on top of those a restored checkpoint carried
+  (:data:`INGEST_KEYS`, the checkpoint's ``metrics``);
 - **daemon gauges** (:data:`GAUGES`: queue depth, simulated time,
   served count, ...).
 
-The per-disk lines are O(disks), which is the exposition format's
-cost; everything else is a counter that is already maintained.
+Feeding a batch does no metrics work: no event stream, no estimator
+update. The session runs probe-free on the columnar loop, and a
+restored session covers its restored prefix through the snapshot's
+ledgers and response samples (even from a checkpoint whose ``metrics``
+is ``null``). The per-disk lines are O(disks), which is the exposition
+format's cost; the fold is O(samples since the last scrape).
 """
 
 from __future__ import annotations
 
-from repro.observe.sinks import MetricsSink
+from repro.core.histogram import IntervalHistogram, default_bin_edges
+from repro.errors import ConfigurationError
+from repro.snapshot import TYPE_KEY
 
 #: (series key, metric name, help text) — the scalar series.
 _SCALARS = (
@@ -45,15 +51,29 @@ _SCALARS = (
      "live requests accepted into the queue"),
     ("ingest_rejected", "repro_ingest_rejected_total",
      "live requests rejected with RETRY (backpressure)"),
-    ("ingest_queue_depth", "repro_ingest_queue_depth",
+    ("last_queue_depth", "repro_ingest_queue_depth",
      "ingest queue depth at last ingest event"),
 )
 
-_QUANTILE_KEYS = (
-    ("p50_latency_s", "0.5"),
-    ("p95_latency_s", "0.95"),
-    ("p99_latency_s", "0.99"),
+#: (quantile, series key) — the latency quantiles.
+_QUANTILES = (
+    (0.5, "p50_latency_s"),
+    (0.95, "p95_latency_s"),
+    (0.99, "p99_latency_s"),
 )
+
+#: Latency histogram bin edges: 512 log-spaced edges from 1 µs to
+#: 10^4 s, so each bin spans 4.6%.
+LATENCY_EDGES = default_bin_edges(1e-6, 1e4, 512)
+
+#: The checkpoint ``metrics`` object: the ingest counters a restored
+#: daemon continues from.
+INGEST_KEYS = ("ingest_accepted", "ingest_rejected", "last_queue_depth")
+
+#: The ``metrics`` object's type tag. It names the sink that wrote the
+#: object before ``/metrics`` read the ledgers; those files carry the
+#: :data:`INGEST_KEYS` among other keys, so both kinds restore.
+INGEST_STATE_TYPE = "MetricsSink"
 
 #: The daemon's gauges, rendered as ``repro_<key>``: its own state at
 #: scrape time, which a restore does not carry over.
@@ -67,6 +87,77 @@ GAUGES = (
     "time_dilation",
     "uptime_wall_seconds",
 )
+
+
+class LatencySeries:
+    """The request count, mean latency and p50/p95/p99 of a session.
+
+    :meth:`fold` adds the response samples served since its previous
+    call to one :class:`~repro.core.histogram.IntervalHistogram` over
+    :data:`LATENCY_EDGES` (a single ``add_batch``) and to a latency sum
+    taken strictly left to right. Neither result depends on where the
+    folds fall, so a restored daemon, whose first scrape folds the
+    whole restored prefix, reads the series an uninterrupted one does,
+    and no checkpoint carries latency state. A quantile is the upper
+    edge of its bin: at most one bin ratio above the exact nearest-rank
+    sample.
+    """
+
+    __slots__ = ("histogram", "sum_s")
+
+    def __init__(self) -> None:
+        self.histogram = IntervalHistogram(LATENCY_EDGES)
+        self.sum_s = 0.0
+
+    def fold(self, simulator) -> dict:
+        """Fold ``simulator``'s new response samples; returns the
+        request and latency series."""
+        histogram = self.histogram
+        new = simulator.responses_since(histogram.total)
+        if new:
+            histogram.add_batch(new)
+            # In sample order: builtin sum() compensates (Python 3.12+),
+            # so its result would depend on where the folds fall.
+            total = self.sum_s
+            for latency in new:
+                total += latency
+            self.sum_s = total
+        count = histogram.total
+        series = {
+            "requests": count,
+            "mean_latency_s": self.sum_s / count if count else 0.0,
+        }
+        for quantile, key in _QUANTILES:
+            series[key] = histogram.quantile(quantile) if count else 0.0
+        return series
+
+
+def ingest_state(series: dict[str, int]) -> dict:
+    """The checkpoint ``metrics`` object for the ingest ``series``
+    (:data:`INGEST_KEYS`)."""
+    return {TYPE_KEY: INGEST_STATE_TYPE, **series}
+
+
+def load_ingest_state(state: dict) -> dict[str, int]:
+    """The :data:`INGEST_KEYS` of a checkpoint's ``metrics`` object.
+
+    Raises:
+        ConfigurationError: If ``state`` is another kind of object or
+            lacks a counter.
+    """
+    kind = state.get(TYPE_KEY)
+    if kind != INGEST_STATE_TYPE:
+        raise ConfigurationError(
+            f"the checkpoint metrics hold {kind!r} where the daemon "
+            f"restores {INGEST_STATE_TYPE} state"
+        )
+    try:
+        return {key: int(state[key]) for key in INGEST_KEYS}
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise ConfigurationError(
+            f"malformed {INGEST_STATE_TYPE} state: {detail}"
+        ) from exc
 
 
 def ledger_series(simulator) -> dict:
@@ -101,25 +192,32 @@ def ledger_series(simulator) -> dict:
 
 
 def render_metrics(
-    sink: MetricsSink,
     simulator,
+    latency: LatencySeries,
+    ingest: dict[str, int],
     gauges: dict[str, float] | None = None,
 ) -> str:
     """Render the live metrics text page.
 
-    ``sink`` supplies the request, latency and ingest series,
-    ``simulator`` the engine series (:func:`ledger_series`), and
-    ``gauges`` the daemon-level series (``repro_`` prefix added).
+    ``simulator`` supplies the engine series (:func:`ledger_series`),
+    ``latency`` folds its response samples into the request and
+    latency series, ``ingest`` holds the :data:`INGEST_KEYS` series,
+    and ``gauges`` the daemon-level series (``repro_`` prefix added).
     """
-    series = {**sink.snapshot(), **ledger_series(simulator)}
+    series = {
+        **latency.fold(simulator),
+        **ingest,
+        **ledger_series(simulator),
+    }
     lines: list[str] = []
     for key, name, help_text in _SCALARS:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"{name} {series[key]!r}")
     lines.append(
-        "# HELP repro_request_latency_seconds streaming latency quantiles"
+        "# HELP repro_request_latency_seconds latency quantiles "
+        "(upper edge of the histogram bin)"
     )
-    for key, quantile in _QUANTILE_KEYS:
+    for quantile, key in _QUANTILES:
         lines.append(
             "repro_request_latency_seconds"
             f'{{quantile="{quantile}"}} {series[key]!r}'

@@ -312,10 +312,16 @@ class StorageSimulator:
             if fused is None:
                 return self._run_columnar_fast(*trace.as_lists())
             accesses, starts = trace.block_accesses()
-            times, disks, blocks, _, writes = accesses.as_lists()
+            # every access is one block: the nblocks column stays unboxed
             responses = self._responses
             first = len(responses)
-            last_time = fused(accesses, times, disks, blocks, writes)
+            last_time = fused(
+                accesses,
+                accesses.times.tolist(),
+                accesses.disks.tolist(),
+                accesses.blocks.tolist(),
+                accesses.is_write.tolist(),
+            )
             if starts is not None:
                 slowest = np.maximum.reduceat(
                     np.array(responses[first:]), starts
@@ -763,11 +769,11 @@ class StorageSimulator:
         res add/discard/range-walk) are inlined against per-disk hoists
         of the two-level ``_chunks``/``_maxes`` representation, and each
         penalty's three idle-energy evaluations collapse into one
-        inline segment-table walk (the
-        :meth:`~repro.power.dpm._SegmentTable.split_penalty` arithmetic
-        with the table columns hoisted into closure locals) when the
-        energy function is an unoverridden ``PracticalDPM.idle_energy``
-        — plus a one-comparison shortcut for gaps inside the first
+        inline segment-table walk (three
+        :meth:`~repro.power.dpm._SegmentTable.energy` lookups with the
+        table columns hoisted into closure locals) when the energy
+        function is an exact ``PracticalDPM``'s ``idle_energy`` — plus
+        a one-comparison shortcut for gaps inside the first
         residency segment, where all three lookups share segment 0 and
         no bisect is needed, and per-value first/last-segment lanes
         that replace the bisect with one or two float compares for the
@@ -805,28 +811,17 @@ class StorageSimulator:
         policy: OPGPolicy = self.policy
         theta = policy.theta
         energy = policy._energy
-        # Penalty fast paths, strictest first: with an exact
-        # PracticalDPM the segment table is immutable for the whole run
-        # (only adaptive subclasses rebuild it), so its columns can be
-        # hoisted into locals; a subclass with the *unoverridden*
-        # idle_energy still gets the fused 3-in-1 lookup, but through
-        # split_penalty so rebuilds stay visible.
+        # Penalty fast path: with an exact PracticalDPM the segment
+        # table is immutable for the whole run (only adaptive subclasses
+        # rebuild it), so its columns can be hoisted into locals; any
+        # other energy function is called three times per penalty.
         from repro.power.dpm import PracticalDPM
 
         owner = getattr(energy, "__self__", None)
-        plain_practical = (
-            isinstance(owner, PracticalDPM)
-            and getattr(energy, "__func__", None)
-            is PracticalDPM.idle_energy
-        )
         table = (
             owner._table
-            if plain_practical and type(owner) is PracticalDPM
-            else None
-        )
-        fast_split = (
-            owner.split_penalty
-            if plain_practical and table is None
+            if type(owner) is PracticalDPM
+            and getattr(energy, "__func__", None) is PracticalDPM.idle_energy
             else None
         )
         if table is not None:
@@ -1043,8 +1038,6 @@ class StorageSimulator:
                             pen = e_l + e_f - e_w
                         if pen <= 0.0:
                             pen = 0.0
-                    elif fast_split is not None:
-                        pen = fast_split(lead, follow)
                     else:
                         e_split = energy(lead) + energy(follow)
                         e_whole = energy(lead + follow)
@@ -1160,7 +1153,6 @@ class StorageSimulator:
         # returning 0.0 client latency. Mirroring both in the loop lets
         # the clean majority of evictions skip the call entirely.
         wb_exact = type(write_policy) is WriteBackPolicy
-        wb_flush = write_policy._write_to_disk
         after_read_wake = (
             None
             if type(write_policy).after_read_wake
@@ -1180,26 +1172,21 @@ class StorageSimulator:
         n_miss = n_cold = 0
         n_evict = n_dirty_evict = 0
 
-        # Reroute write-back activity notifications (attach() bound the
-        # scalar note_disk_activity) through the fused gap splitter;
-        # restored below even on error.
+        # Reroute write-back activity notifications (attach() bound
+        # OPGPolicy's note_disk_activity, so there always is a listener)
+        # through the fused gap splitter; restored below even on error.
         # The gap splitter doubles as the activity listener directly —
         # its signature matches, and it self-detects already-known
         # times — so flush notifications (mostly dirty victims landing
         # on a *different* disk whose timeline has not seen this
         # instant) pay no wrapper call.
         saved_listener = write_policy.activity_listener
-        # With no observability probe wired, _write_to_disk reduces to
-        # a per-disk submit, a counter bump, and the listener call —
+        # The loop runs only without a probe, so _write_to_disk reduces
+        # to a per-disk submit, a counter bump, and the listener call —
         # which is split_gap itself for the loop's duration — so the
         # dirty-victim flush sites below submit directly and skip two
         # delegation frames per flush; the deferred counter is folded
         # back in the finally.
-        wb_direct = (
-            wb_exact
-            and write_policy.probe is None
-            and saved_listener is not None
-        )
         wb_writes = 0
         # Residency count tracked as a local: loop code is the only
         # mutator of cache membership while the fused loop runs (write
@@ -1212,8 +1199,7 @@ class StorageSimulator:
         try:
             # the swap sits inside the try so the finally's restore is
             # reached from every statement that runs with it in place
-            if saved_listener is not None:
-                write_policy.activity_listener = split_gap
+            write_policy.activity_listener = split_gap
             for time, disk, block, is_write, nt_new in zip(
                 times, disks, blocks_col, writes, policy._next_time
             ):
@@ -1374,12 +1360,9 @@ class StorageSimulator:
                 if is_write:
                     if wb_exact:
                         if vkey is not None and vdirty:
-                            if wb_direct:
-                                quick[vd](time, vb, True)
-                                wb_writes += 1
-                                split_gap(vd, time)
-                            else:
-                                wb_flush(vkey, time)
+                            quick[vd](time, vb, True)
+                            wb_writes += 1
+                            split_gap(vd, time)
                         # cache.mark_dirty(key) on the state in hand
                         # (setdefault would allocate its default set on
                         # every call; probe first, the bucket almost
@@ -1405,20 +1388,16 @@ class StorageSimulator:
                     if vkey is not None:
                         if wb_exact:
                             if vdirty:
-                                if wb_direct:
-                                    quick[vd](time, vb, True)
-                                    wb_writes += 1
-                                    split_gap(vd, time)
-                                else:
-                                    wb_flush(vkey, time)
+                                quick[vd](time, vb, True)
+                                wb_writes += 1
+                                split_gap(vd, time)
                         else:
                             on_evicted(vkey, vstate, time)
                     if after_read_wake is not None:
                         after_read_wake(disk, time, woke=wake_delay > 0)
                 append_response(worst)
         finally:
-            if saved_listener is not None:
-                write_policy.activity_listener = saved_listener
+            write_policy.activity_listener = saved_listener
             write_policy.disk_writes += wb_writes
             # the inlined timeline mutations bypass the containers'
             # _len bookkeeping and the _known hash mirror (no loop
@@ -1529,6 +1508,11 @@ class StorageSimulator:
             [req.nblocks for req in requests],
             [req.is_write for req in requests],
         )
+        return self._responses[start:]
+
+    def responses_since(self, start: int) -> list[float]:
+        """A copy of the per-request response times from request
+        ``start`` on, in serving order (live ``/metrics`` folds them)."""
         return self._responses[start:]
 
     def finish(self, end_time: float) -> SimulationResult:

@@ -47,10 +47,10 @@ class SessionCheckpoint:
 
     ``params`` are the :func:`~repro.sim.runner.build_session` keyword
     arguments; ``state`` is :meth:`SimulationSession.state_dict` at the
-    checkpoint. ``metrics`` optionally carries the state of a host's
-    :class:`~repro.observe.sinks.MetricsSink` (the serve daemon stores
-    its ``/metrics`` counters there), so observability survives a
-    restore too.
+    checkpoint. ``metrics`` optionally carries a host's own counters:
+    the serve daemon stores its ingest counters there
+    (:func:`repro.serve.metrics.ingest_state`), the one ``/metrics``
+    input that ``state`` does not hold.
     """
 
     params: dict

@@ -230,6 +230,11 @@ class ColumnarTrace:
         )
         return accesses, starts
 
+    def num_disks(self) -> int:
+        """The smallest array the trace fits: its highest disk id plus
+        one, or 1 for an empty trace."""
+        return int(self.disks.max()) + 1 if len(self.disks) else 1
+
     def as_lists(self) -> tuple[list, list, list, list, list]:
         """The five columns as plain Python lists (fastest to iterate).
 

@@ -20,4 +20,4 @@ def run(bus):
 
 
 def serve(bus):
-    bus(TickEvent())  # direct EventBus dispatch (the serve daemon idiom)
+    bus(TickEvent())  # direct EventBus dispatch

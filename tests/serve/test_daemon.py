@@ -283,9 +283,9 @@ class TestBackpressure:
         assert verbs.count("RETRY") > 0
         assert verbs.count("OK") == daemon.session.served
         assert daemon.queue.rejected_total == verbs.count("RETRY")
-        snap = daemon.metrics.snapshot()
-        assert snap["ingest_rejected"] == verbs.count("RETRY")
-        assert snap["ingest_accepted"] == verbs.count("OK")
+        ingest = daemon.ingest_series()
+        assert ingest["ingest_rejected"] == verbs.count("RETRY")
+        assert ingest["ingest_accepted"] == verbs.count("OK")
 
 
 class TestHttpSurface:

@@ -201,6 +201,14 @@ class TestCheckpointFiles:
         path = self._doctored(tmp_path, bad_metrics)
         self._refused(path, "malformed MetricsSink state")
 
+    def test_metrics_of_another_type_are_refused(self, tmp_path):
+        def foreign_metrics(document):
+            document["metrics"] = {"type": "CacheStats", "ingest_accepted": 1}
+
+        path = self._doctored(tmp_path, foreign_metrics)
+        self._refused(path, "metrics hold 'CacheStats' where the daemon "
+                            "restores MetricsSink state")
+
     def test_latest_checkpoint_orders_by_served(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
         for served in (5, 1200, 40):

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.loadgen import LoadConfig, generate_workload, run_load
+from repro.sim.results import ResponseStats
 
 
 class _DevNull:
@@ -81,6 +82,23 @@ class TestRunLoad:
         assert daemon.session.served == 200
         assert report.rps > 0
         assert report.p99_latency_s >= report.p50_latency_s >= 0.0
+
+    def test_quantiles_are_exact_over_the_acked_latencies(self):
+        """Every request is acked once, and an ``OK`` line carries its
+        latency's ``repr``, so the acked latencies are the session's
+        response samples in another order."""
+        daemon, report = _drive(
+            {"users": 4, "requests": 200, "num_disks": 4, "seed": 3}
+        )
+        assert report.acked == 200
+        exact = ResponseStats.from_samples(
+            daemon.session.simulator.responses_since(0)
+        )
+        assert (
+            report.p50_latency_s,
+            report.p95_latency_s,
+            report.p99_latency_s,
+        ) == (exact.median_s, exact.p95_s, exact.p99_s)
 
     def test_explicit_mode_is_deterministic_across_runs(self):
         kwargs = {

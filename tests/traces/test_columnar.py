@@ -57,6 +57,13 @@ class TestRoundTrip:
         assert blocks == [10, 20, 11, 0]
         assert nblocks == [1, 4, 1, 2]
 
+    def test_num_disks_is_the_highest_id_plus_one(self):
+        trace = ColumnarTrace.from_requests(_requests())
+        assert trace.num_disks() == 3
+        assert type(trace.num_disks()) is int
+        assert trace[3:].num_disks() == 3
+        assert trace[:0].num_disks() == 1
+
     def test_iter_accesses_expands_multiblock(self):
         # The vectorized expansion is block_keys() over every request,
         # in order, with each request's time and direction.
