@@ -71,7 +71,7 @@ class OfflinePolicy(ReplacementPolicy):
     """
 
     #: Attributes :meth:`prepare_columnar` defers (see ``__getattr__``).
-    _LAZY_ATTRS = ("_times", "_keys", "_next_pos", "_first_pos")
+    _LAZY_ATTRS = ("_times", "_keys", "_next_pos", "_next_time", "_first_pos")
 
     def __init__(self) -> None:
         self._prepared = False
@@ -128,12 +128,14 @@ class OfflinePolicy(ReplacementPolicy):
         (:func:`repro.core.kernels.next_access_arrays`) instead of the
         reverse Python loop. Returns the access trace.
 
-        Only ``_next_time`` is materialized as a Python list eagerly
-        (the fused loops iterate it directly); ``_times``, ``_keys``,
-        ``_next_pos`` and ``_first_pos`` are built on first attribute
-        access via ``__getattr__`` — the fused engine loops never read
-        them, and at a million accesses each deferred ``tolist`` or
-        dict build saves hundreds of milliseconds of boxing.
+        No list is built here: the next-access times stay the kernel's
+        float64 array (``_next_time_array``), which the fused OPG loop
+        boxes one chunk at a time, and ``_times``, ``_keys``,
+        ``_next_pos``, ``_next_time`` and ``_first_pos`` are built on
+        first attribute access via ``__getattr__`` — the fused engine
+        loops never read them, and at a million accesses each deferred
+        ``tolist`` or dict build saves hundreds of milliseconds of
+        boxing and tens of MiB of Python objects.
         """
         from repro.core import kernels
 
@@ -146,7 +148,7 @@ class OfflinePolicy(ReplacementPolicy):
         self._lazy_cols = (
             accesses.disks, accesses.blocks, accesses.times, next_pos
         )
-        self._next_time = next_time.tolist()
+        self._next_time_array = next_time
         self._first_mask = first_mask
         self._cursor = 0
         self._prepared = True
@@ -155,9 +157,10 @@ class OfflinePolicy(ReplacementPolicy):
     def __getattr__(self, name: str):
         # Deferred materialization of the columnar-prepare products the
         # fused loops never touch. Scalar paths (``_advance``, Belady's
-        # ``_next_pos`` reads, OPG's scalar seeding) hit this once per
-        # attribute; the result is cached as a plain instance attribute
-        # so subsequent lookups bypass ``__getattr__`` entirely.
+        # ``_next_pos`` reads, OPG's scalar ``_next_time`` reads and
+        # seeding) hit this once per attribute; the result is cached as
+        # a plain instance attribute so subsequent lookups bypass
+        # ``__getattr__`` entirely.
         cols = self.__dict__.get("_lazy_cols")
         if cols is None or name not in OfflinePolicy._LAZY_ATTRS:
             raise AttributeError(
@@ -170,6 +173,8 @@ class OfflinePolicy(ReplacementPolicy):
             value = list(zip(disks.tolist(), blocks.tolist()))
         elif name == "_next_pos":
             value = next_pos.tolist()
+        elif name == "_next_time":
+            value = self._next_time_array.tolist()
         else:  # _first_pos
             keys = self._keys  # may itself materialize lazily
             value = {

@@ -49,16 +49,14 @@ class DiskTimeline:
     wrappers that box the same values into :class:`Neighbors`.
     """
 
-    __slots__ = ("_times", "_known", "start", "end")
+    __slots__ = ("_times", "start", "end")
 
     def __init__(self, start: float = 0.0, end: float = math.inf) -> None:
+        # One sorted container answers membership too: every "is this
+        # time already known?" question falls out of the bisect that
+        # locates the time's neighbors (the ``coincident`` flag of
+        # :meth:`neighbors_tuple`, the ``None`` of :meth:`insert_tuple`).
         self._times = ChunkedSortedList.from_sorted((start,))
-        # Hash-set mirror of ``_times`` for O(1) membership: the OPG
-        # hot path probes "is this time already a known access?" far
-        # more often than it inserts (duplicate gap splits, coincident
-        # penalties), and float hashing agrees exactly with the ``==``
-        # the sorted container uses.
-        self._known = {start}
         self.start = start
         self.end = end
 
@@ -81,14 +79,13 @@ class DiskTimeline:
         if not (i < len(seq) and seq[i] == start):
             seq.insert(i, start)
         tl._times = ChunkedSortedList.from_sorted(seq)
-        tl._known = set(seq)
         return tl
 
     def __len__(self) -> int:
         return len(self._times)
 
     def __contains__(self, time: float) -> bool:
-        return time in self._known
+        return time in self._times
 
     def neighbors_tuple(self, time: float) -> tuple[float, float, bool]:
         """Leader/follower for a prospective access at ``time`` as a
@@ -112,11 +109,10 @@ class DiskTimeline:
         time was new (callers re-evaluate penalties of blocks in that
         gap), or ``None`` if the time was already known.
         """
-        known = self._known
-        if time in known:
+        nb = self._times.insert_unique(time)
+        if nb is None:
             return None
-        known.add(time)
-        leader, follower = self._times.insert_unique(time)
+        leader, follower = nb
         return (
             self.start if leader is None else leader,
             self.end if follower is None else follower,

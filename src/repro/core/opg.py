@@ -147,10 +147,11 @@ class OPGPolicy(OfflinePolicy):
         """Energy penalty of a miss at ``next_time`` on ``disk``."""
         if next_time == _INF:
             return 0.0  # never re-referenced: evicting costs nothing
-        tl = self._timeline(disk)
-        if next_time in tl:  # coincident: the disk is active anyway
+        leader, follower, coincident = self._timeline(disk).neighbors_tuple(
+            next_time
+        )
+        if coincident:  # the disk is active at next_time anyway
             return 0.0
-        leader, follower, _ = tl.neighbors_tuple(next_time)
         lead = next_time - leader
         follow = follower - next_time
         if follow < 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
+from itertools import chain
 from math import inf
 from typing import Sequence
 
@@ -55,7 +56,8 @@ from repro.power.specs import build_power_model
 from repro.sim.config import SimulationConfig
 from repro.sim.results import DiskReport, ResponseStats, SimulationResult
 from repro.snapshot import load_state, pack_floats, state_of, unpack_floats
-from repro.traces.columnar import ColumnarTrace
+from repro.traces import columnar
+from repro.traces.columnar import ColumnarTrace, iter_chunks, iter_rows
 from repro.traces.record import IORequest, iter_accesses
 
 #: Fast-path audit registry, enforced statically by ``repro check``'s
@@ -294,6 +296,11 @@ class StorageSimulator:
         plans are per access, run over the trace's per-block access
         columns (:meth:`ColumnarTrace.block_accesses`) and fold each
         request's accesses back into one response, the slowest.
+
+        Every loop boxes one chunk of rows into Python objects at a
+        time (:data:`~repro.traces.columnar.CHUNK_ROWS` of them, see
+        :meth:`_access_rows`), so a run holds one chunk of boxed rows
+        and its plan slices, not the whole trace.
         """
         trace: ColumnarTrace = self.trace
         if len(trace) == 0:
@@ -309,29 +316,64 @@ class StorageSimulator:
             gc.disable()
         try:
             fused = self._fused_loop_for()
-            if fused is None:
-                return self._run_columnar_fast(*trace.as_lists())
-            accesses, starts = trace.block_accesses()
-            # every access is one block: the nblocks column stays unboxed
-            responses = self._responses
-            first = len(responses)
-            last_time = fused(
-                accesses,
-                accesses.times.tolist(),
-                accesses.disks.tolist(),
-                accesses.blocks.tolist(),
-                accesses.is_write.tolist(),
-            )
-            if starts is not None:
-                slowest = np.maximum.reduceat(
-                    np.array(responses[first:]), starts
-                )
-                del responses[first:]
-                responses.extend(slowest.tolist())
+            if fused is not None:
+                return fused(*trace.block_accesses())
+            # the generic loop is re-entrant: once per chunk, as
+            # handle_batch runs it once per fed batch
+            last_time = 0.0
+            for chunk in iter_chunks(trace.columns()):
+                last_time = self._run_columnar_fast(*chunk)
+                del chunk  # unboxed before the next chunk is boxed
             return last_time
         finally:
             if was_enabled:
                 gc.enable()
+
+    def _access_rows(self, starts, *columns):
+        """The fused loops' rows: per-access columns, boxed one chunk
+        at a time.
+
+        ``starts`` is :meth:`ColumnarTrace.block_accesses`'s second
+        value. For a single-block trace (``None``) every access is a
+        request, and chunks are ``CHUNK_ROWS`` rows. On a multi-block
+        trace each chunk ends on a request boundary (at the first
+        request starting at or past each multiple of ``CHUNK_ROWS``),
+        and the responses the loop appended for a chunk, one per
+        access, fold into one per request (the slowest block's,
+        ``np.maximum.reduceat``) when the loop asks for the next
+        chunk's first row: after the chunk's last row ran, before the
+        next chunk is boxed. So neither boxed rows nor per-access
+        responses pile up over the trace.
+        """
+        if starts is None:
+            return iter_rows(columns)
+        return chain.from_iterable(self._folding_chunks(starts, columns))
+
+    def _folding_chunks(self, starts, columns):
+        """One row ``zip`` per request-aligned chunk; folds each
+        chunk's responses when resumed (see :meth:`_access_rows`)."""
+        n = len(columns[0])
+        step = columnar.CHUNK_ROWS
+        # chunk ends as request indices, then as access rows
+        request_ends = np.unique(
+            np.append(
+                np.searchsorted(starts, np.arange(step, n, step)),
+                len(starts),
+            )
+        ).tolist()
+        bounds = np.append(starts, n)
+        chunks = iter_chunks(columns, bounds[request_ends].tolist())
+        responses = self._responses
+        lo = 0
+        for hi in request_ends:
+            first = len(responses)
+            yield zip(*next(chunks))
+            slowest = np.maximum.reduceat(
+                np.array(responses[first:]), starts[lo:hi] - bounds[lo]
+            )
+            del responses[first:]
+            responses.extend(slowest.tolist())
+            lo = hi
 
     def _run_columnar_fast(self, times, disks, blocks_col, counts, writes):
         """Probe-free columnar loop with the cache access path inlined.
@@ -510,7 +552,7 @@ class StorageSimulator:
             return self._run_columnar_fast_opg
         return None
 
-    def _run_columnar_fast_pa(self, trace, times, disks, blocks_col, writes):
+    def _run_columnar_fast_pa(self, trace, starts):
         """PA-LRU fused loop: batch-kernel plans + inlined PA/LRU state.
 
         Three facts make the classifier's hot work precomputable from
@@ -544,11 +586,20 @@ class StorageSimulator:
         cold_plan, bloom_count, bloom_words = kernels.bloom_cold_mask(
             trace.disks, trace.blocks, bloom.num_bits, bloom.num_hashes
         )
-        cold_l = cold_plan.tolist()
         boundaries = kernels.epoch_boundary_table(
-            times[0], classifier.epoch_length_s, times[-1]
+            float(trace.times[0]),
+            classifier.epoch_length_s,
+            float(trace.times[-1]),
         )
-        rolls_l = kernels.epoch_roll_counts(trace.times, boundaries).tolist()
+        rows = self._access_rows(
+            starts,
+            trace.times,
+            trace.disks,
+            trace.blocks,
+            trace.is_write,
+            cold_plan,
+            kernels.epoch_roll_counts(trace.times, boundaries),
+        )
 
         # -- live policy/classifier state (aliased, not copied) ----------
         classes = classifier._classes
@@ -625,9 +676,7 @@ class StorageSimulator:
         rolls_done = 0
 
         time = 0.0
-        for time, disk, block, is_write, cold_i, roll_i in zip(
-            times, disks, blocks_col, writes, cold_l, rolls_l
-        ):
+        for time, disk, block, is_write, cold_i, roll_i in rows:
             while rolls_done < roll_i:
                 reclassify()
                 rolls_done += 1
@@ -752,7 +801,7 @@ class StorageSimulator:
         self._disk_reads += disk_reads
         return time
 
-    def _run_columnar_fast_opg(self, trace, times, disks, blocks_col, writes):
+    def _run_columnar_fast_opg(self, trace, starts):
         """OPG fused loop: vectorized prepare plans + inlined heap ops.
 
         OPG's eviction order hinges on its stamped heap tuples, so no
@@ -761,7 +810,8 @@ class StorageSimulator:
         (same stamps, same tuple values) and removes the interpretation
         overhead around it: ``_advance``'s per-access sequence check is
         skipped (the access stream IS the prepared columnar trace; each
-        access's next-reference time rides along in the main ``zip``),
+        access's next-reference time, ``_next_time_array``, rides along
+        in the loop's rows, :meth:`_access_rows`),
         untrack/track pairs are fused (one net ``+2`` stamp bump, one
         push; hit and miss share the res add and the ``push`` closure
         that the gap splitter's re-pushes also use), the
@@ -1058,12 +1108,9 @@ class StorageSimulator:
             # resident, so the walk usually ends at its first
             # comparison without locating the hi bound at all).
             # Already-known times fall out of the locating bisect
-            # itself (follower == at), so callers and this body pay no
-            # hash probe on the known set; the append branch needs no
-            # check at all, since every known time is <= maxes[-1].
-            # Nothing in the loop reads the timeline's _known mirror
-            # either, so it is not maintained here — the finally
-            # below rebuilds it from the chunks in one pass.
+            # itself (follower == at), as in insert_unique; the append
+            # branch needs no check at all, since every known time is
+            # <= maxes[-1].
             maxes = tl_maxes[disk]
             chunks = tl_chunks[disk]
             ci = bisect_left(maxes, at)
@@ -1167,7 +1214,7 @@ class StorageSimulator:
         # Totals the loop would accumulate one by one fall out of the
         # columns directly; only the cache-state-dependent counters
         # (misses, cold misses, evictions) stay in the loop.
-        n_total = len(times)
+        n_total = len(trace)
         n_write_total = int(trace.is_write.sum())
         n_miss = n_cold = 0
         n_evict = n_dirty_evict = 0
@@ -1200,8 +1247,13 @@ class StorageSimulator:
             # the swap sits inside the try so the finally's restore is
             # reached from every statement that runs with it in place
             write_policy.activity_listener = split_gap
-            for time, disk, block, is_write, nt_new in zip(
-                times, disks, blocks_col, writes, policy._next_time
+            for time, disk, block, is_write, nt_new in self._access_rows(
+                starts,
+                trace.times,
+                trace.disks,
+                trace.blocks,
+                trace.is_write,
+                policy._next_time_array,
             ):
                 key = (disk, block)
                 worst = hit_latency
@@ -1400,13 +1452,11 @@ class StorageSimulator:
             write_policy.activity_listener = saved_listener
             write_policy.disk_writes += wb_writes
             # the inlined timeline mutations bypass the containers'
-            # _len bookkeeping and the _known hash mirror (no loop
-            # code reads either); restore both invariants before
-            # handing the structures back
+            # _len bookkeeping (no loop code reads it); restore it
+            # before handing the structures back
             for tl in timelines.values():
                 t = tl._times
                 t._len = sum(map(len, t._chunks))
-                tl._known = set().union(*t._chunks)
             # the loop never discards res entries eagerly (gap walks
             # drop stale ones in place), so rebuild each disk's
             # resident list exactly from the surviving block states —

@@ -19,7 +19,7 @@ import csv
 from pathlib import Path
 from typing import Iterable
 
-from repro.traces.columnar import _CSV_HEADER, ColumnarTrace
+from repro.traces.columnar import _CSV_HEADER, ColumnarTrace, iter_rows
 from repro.traces.streaming import TraceRow
 
 
@@ -51,4 +51,4 @@ def save_trace(trace: ColumnarTrace, path: str | Path) -> None:
         TraceError: If the trace is not time-ordered.
     """
     trace.validate()
-    write_rows(zip(*trace.as_lists()), path)
+    write_rows(iter_rows(trace.columns()), path)

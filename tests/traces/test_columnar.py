@@ -1,9 +1,11 @@
 """Tests for the columnar (struct-of-arrays) trace representation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.traces.columnar import ColumnarTrace
+from repro.traces import columnar
+from repro.traces.columnar import ColumnarTrace, iter_chunks, iter_rows
 from repro.traces.fingerprint import trace_fingerprint
 from repro.traces.io import save_trace
 from repro.traces.record import IORequest
@@ -97,6 +99,50 @@ class TestRoundTrip:
         again = ColumnarTrace(*(getattr(trace, name) for name in names))
         assert all(getattr(again, n) is getattr(trace, n) for n in names)
         assert again.to_requests() == _requests()
+
+
+class TestChunkedRows:
+    """``iter_chunks`` / ``iter_rows``: native rows, one chunk at a time."""
+
+    def test_rows_are_the_native_rows_of_as_lists(self, monkeypatch):
+        monkeypatch.setattr(columnar, "CHUNK_ROWS", 3)
+        trace = ColumnarTrace.from_requests(_requests() * 2)
+        rows = list(iter_rows(trace.columns()))
+        assert rows == list(zip(*trace.as_lists()))
+        assert all(
+            [type(value) for value in row] == [float, int, int, int, bool]
+            for row in rows
+        )
+
+    def test_chunks_follow_the_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(columnar, "CHUNK_ROWS", 3)
+        values = np.arange(8)
+        assert list(iter_chunks((values, values * 2))) == [
+            [[0, 1, 2], [0, 2, 4]],
+            [[3, 4, 5], [6, 8, 10]],
+            [[6, 7], [12, 14]],
+        ]
+        assert list(iter_chunks((values[:6],))) == [[[0, 1, 2]], [[3, 4, 5]]]
+        assert list(iter_chunks((values[:0],))) == []
+
+    def test_chunks_end_where_told(self):
+        values = np.arange(8)
+        assert list(iter_chunks((values,), [1, 5, 8])) == [
+            [[0]], [[1, 2, 3, 4]], [[5, 6, 7]]
+        ]
+
+    def test_save_and_iterate_cross_chunks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(columnar, "CHUNK_ROWS", 3)
+        requests = _requests() + [
+            IORequest(time=req.time + 3.0, disk=req.disk, block=req.block)
+            for req in _requests()
+        ]
+        trace = ColumnarTrace.from_requests(requests)
+        assert list(trace) == requests
+        save_trace(trace, tmp_path / "t.csv")
+        assert ColumnarTrace.from_csv(tmp_path / "t.csv").to_requests() == (
+            requests
+        )
 
 
 class TestValidation:

@@ -52,6 +52,25 @@ class TestTraceBuilder:
         assert trace.blocks[-1] == CHUNK_ROWS + 16
         assert trace.times[-1] == float(CHUNK_ROWS + 16)
 
+    def test_build_holds_the_chunks_plus_one_column(self):
+        # build() releases each column's chunks once that column is
+        # concatenated; copying every column before releasing any chunk
+        # peaked at the chunks plus all five columns
+        rows = (
+            (float(i), i % 7, i, 1, False) for i in range(4 * CHUNK_ROWS + 5)
+        )
+        tracemalloc.start()
+        try:
+            builder = TraceBuilder().extend(rows)
+            chunks, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trace = builder.build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 4 * CHUNK_ROWS + 5
+        assert peak < chunks + trace.times.nbytes + (1 << 20)
+
     def test_rejects_time_regression(self):
         builder = TraceBuilder()
         builder.append(2.0, 0, 1)
