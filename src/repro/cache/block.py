@@ -30,9 +30,9 @@ class BlockState:
     #: block's next-access time and lazy-heap stamp, which the scalar
     #: path keeps in ``OPGPolicy._next_of`` / ``_stamp`` dicts. Riding
     #: on the state object the hit path already holds makes the fused
-    #: loop's per-access bookkeeping dict-free; the policy dicts are
-    #: rebuilt when the loop hands control back. Meaningless outside
-    #: that loop.
+    #: loop's per-access bookkeeping dict-free. Nothing copies them
+    #: back into the policy dicts: nothing reads an OPG policy after a
+    #: run. Meaningless outside that loop.
     opg_nt: float = 0.0
     opg_stamp: int = 0
 

@@ -14,8 +14,9 @@ The cache drives a policy through a strict contract:
    chose, or external invalidation). The policy must forget it.
 
 Offline policies additionally receive the complete access sequence via
-:meth:`OfflinePolicy.prepare` before the run starts; the sequence they
-are prepared with must match the ``on_access`` stream exactly.
+:meth:`OfflinePolicy.prepare_columnar` (or :meth:`OfflinePolicy.prepare`
+for ``(time, key)`` pairs) before the run starts; the sequence they are
+prepared with must match the ``on_access`` stream exactly.
 """
 
 from __future__ import annotations
@@ -77,56 +78,35 @@ class OfflinePolicy(ReplacementPolicy):
         self._prepared = False
         self._cursor = 0
         self._lazy_cols: tuple | None = None
-        self._times: list[float] = []
-        self._keys: list[BlockKey] = []
-        self._next_pos: list[int] = []
-        self._next_time: list[float] = []
 
     def prepare(self, accesses: Iterable[tuple[float, BlockKey]]) -> None:
         """Load the full future access sequence.
 
         Args:
             accesses: ``(time, key)`` pairs in the exact order the cache
-                will issue ``on_access`` calls. Any iterable works —
-                streaming one (see
-                :func:`repro.traces.record.iter_accesses`) avoids ever
-                materializing the flattened access list.
+                will issue ``on_access`` calls. They are packed into
+                single-block columns and prepared by
+                :meth:`prepare_columnar`, the one implementation.
         """
-        times: list[float] = []
-        keys: list[BlockKey] = []
-        times_append = times.append
-        keys_append = keys.append
-        for t, k in accesses:
-            times_append(t)
-            keys_append(k)
-        n = len(keys)
-        self._times = times
-        self._keys = keys
-        inf = float("inf")
-        self._next_pos = [n] * n
-        self._next_time = [inf] * n
-        last_seen: dict[BlockKey, int] = {}
-        for i in range(n - 1, -1, -1):
-            key = self._keys[i]
-            nxt = last_seen.get(key, n)
-            self._next_pos[i] = nxt
-            self._next_time[i] = self._times[nxt] if nxt < n else inf
-            last_seen[key] = i
-        self._first_pos = last_seen  # first occurrence of each key
-        self._lazy_cols = None
-        self._cursor = 0
-        self._prepared = True
+        from repro.traces.columnar import ColumnarTrace
+
+        rows = [(t, disk, block) for t, (disk, block) in accesses]
+        times, disks, blocks = zip(*rows) if rows else ((), (), ())
+        n = len(rows)
+        self.prepare_columnar(
+            ColumnarTrace(times, disks, blocks, [1] * n, [False] * n)
+        )
 
     def prepare_columnar(self, trace):
-        """Vectorized :meth:`prepare` over a
+        """Load the future from a
         :class:`~repro.traces.columnar.ColumnarTrace`.
 
-        Builds exactly the state :meth:`prepare` would — same lists,
-        same floats — from the trace's per-block access columns
-        (:meth:`~repro.traces.columnar.ColumnarTrace.block_accesses`),
-        deriving the next-occurrence arrays with one stable lexsort
-        (:func:`repro.core.kernels.next_access_arrays`) instead of the
-        reverse Python loop. Returns the access trace.
+        Works on the trace's per-block access columns
+        (:meth:`~repro.traces.columnar.ColumnarTrace.block_accesses`)
+        and derives the next-occurrence arrays with one stable sort
+        (:func:`repro.core.kernels.next_access_arrays`). Returns the
+        ``(accesses, starts)`` pair ``block_accesses`` gave, so a run
+        hands the same expansion to its fused loop.
 
         No list is built here: the next-access times stay the kernel's
         float64 array (``_next_time_array``), which the fused OPG loop
@@ -139,7 +119,8 @@ class OfflinePolicy(ReplacementPolicy):
         """
         from repro.core import kernels
 
-        accesses, _ = trace.block_accesses()
+        expanded = trace.block_accesses()
+        accesses = expanded[0]
         next_pos, next_time, first_mask = kernels.next_access_arrays(
             accesses.disks, accesses.blocks, accesses.times
         )
@@ -152,14 +133,14 @@ class OfflinePolicy(ReplacementPolicy):
         self._first_mask = first_mask
         self._cursor = 0
         self._prepared = True
-        return accesses
+        return expanded
 
     def __getattr__(self, name: str):
         # Deferred materialization of the columnar-prepare products the
         # fused loops never touch. Scalar paths (``_advance``, Belady's
-        # ``_next_pos`` reads, OPG's scalar ``_next_time`` reads and
-        # seeding) hit this once per attribute; the result is cached as
-        # a plain instance attribute so subsequent lookups bypass
+        # ``_next_pos`` reads, OPG's scalar ``_next_time`` reads) hit
+        # this once per attribute; the result is cached as a plain
+        # instance attribute so subsequent lookups bypass
         # ``__getattr__`` entirely.
         cols = self.__dict__.get("_lazy_cols")
         if cols is None or name not in OfflinePolicy._LAZY_ATTRS:

@@ -32,15 +32,13 @@ Eight domain checkers ship by default (see :data:`repro.check.base.CHECKERS`):
 * ``slots`` — classes instantiated inside the hot loop must declare
   ``__slots__``.
 
-Findings can be silenced per line with ``# repro: ignore[rule]`` or
-per project with the baseline file (``checks/baseline.json`` by
-default); see :mod:`repro.check.baseline`.
+Findings can be silenced per line with ``# repro: ignore[rule]``, the
+only suppression there is: no file holds accepted findings.
 """
 
 from __future__ import annotations
 
 from repro.check.base import CHECKERS, Checker, register
-from repro.check.baseline import Baseline
 from repro.check.finding import Finding, Severity
 from repro.check.project import ClassInfo, ModuleInfo, Project
 from repro.check.runner import Report, run_check
@@ -58,7 +56,6 @@ from repro.check import (  # noqa: E402,F401  (registration side effect)
 )
 
 __all__ = [
-    "Baseline",
     "CHECKERS",
     "Checker",
     "ClassInfo",

@@ -24,10 +24,10 @@ def register(cls: Type["Checker"]) -> Type["Checker"]:
 class Checker:
     """One static-analysis rule.
 
-    Subclasses set :attr:`rule` (the id used in findings, pragmas, the
-    baseline, and ``--select``) and implement :meth:`check`, yielding
-    :class:`Finding` objects. The runner applies pragma suppression and
-    the baseline afterwards — checkers just report everything they see.
+    Subclasses set :attr:`rule` (the id used in findings, pragmas and
+    ``--select``) and implement :meth:`check`, yielding
+    :class:`Finding` objects. The runner applies pragma suppression
+    afterwards — checkers just report everything they see.
     """
 
     rule: str = ""

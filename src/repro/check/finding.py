@@ -30,15 +30,6 @@ class Finding:
     message: str
 
     @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used by the baseline file.
-
-        Deliberately line-independent so unrelated edits that shift a
-        suppressed finding up or down do not invalidate the baseline.
-        """
-        return (self.rule, self.path, self.message)
-
-    @property
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 

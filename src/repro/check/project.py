@@ -28,12 +28,8 @@ class CheckError(ReproError):
 
 
 #: ``# repro: ignore[rule_a, rule_b]`` silences those rules on the
-#: line; ``# repro: ignore`` silences every rule. ``# repro: hot``
-#: marks the function defined on that line as hot-loop code for the
-#: ``slots`` checker.
-_PRAGMA = re.compile(
-    r"#\s*repro:\s*(?P<verb>ignore|hot)(?:\[(?P<rules>[^\]]*)\])?"
-)
+#: line; ``# repro: ignore`` silences every rule.
+_PRAGMA = re.compile(r"#\s*repro:\s*ignore(?:\[(?P<rules>[^\]]*)\])?")
 
 #: Sentinel rule-set meaning "every rule" for a bare ``ignore``.
 IGNORE_ALL = frozenset({"*"})
@@ -45,13 +41,11 @@ class ModuleInfo:
 
     path: Path
     #: POSIX-style path relative to the invocation root — the stable
-    #: identity used in findings and the baseline file.
+    #: identity used in findings.
     relpath: str
     tree: ast.Module
     #: line -> rules ignored on that line (:data:`IGNORE_ALL` for all).
     ignores: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: lines carrying a ``# repro: hot`` marker.
-    hot_lines: frozenset[int] = frozenset()
 
     @property
     def basename(self) -> str:
@@ -115,13 +109,10 @@ def _declares_slots(node: ast.ClassDef) -> bool:
     return False
 
 
-def _scan_pragmas(
-    source: str,
-) -> tuple[dict[int, frozenset[str]], frozenset[int]]:
+def _scan_pragmas(source: str) -> dict[int, frozenset[str]]:
     """Extract ``# repro:`` pragmas via the tokenizer (so comment-like
     text inside string literals cannot trigger them)."""
     ignores: dict[int, frozenset[str]] = {}
-    hot: set[int] = set()
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -131,9 +122,6 @@ def _scan_pragmas(
             if match is None:
                 continue
             line = tok.start[0]
-            if match.group("verb") == "hot":
-                hot.add(line)
-                continue
             rules = match.group("rules")
             if rules is None:
                 ignores[line] = IGNORE_ALL
@@ -147,7 +135,7 @@ def _scan_pragmas(
                 ignores[line] = names | previous
     except tokenize.TokenError:
         pass  # the ast parse below reports the real syntax problem
-    return ignores, frozenset(hot)
+    return ignores
 
 
 def _collect_files(roots: list[Path]) -> list[Path]:
@@ -192,13 +180,11 @@ class Project:
             relpath = rel.as_posix()
         except ValueError:
             relpath = path.as_posix()
-        ignores, hot = _scan_pragmas(source)
         return ModuleInfo(
             path=path,
             relpath=relpath,
             tree=tree,
-            ignores=ignores,
-            hot_lines=hot,
+            ignores=_scan_pragmas(source),
         )
 
     def _index_classes(self, module: ModuleInfo) -> None:

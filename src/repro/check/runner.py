@@ -1,12 +1,12 @@
-"""Orchestration: run checkers over a tree, apply pragmas + baseline.
+"""Orchestration: run checkers over a tree, apply pragmas.
 
 :func:`run_check` is the library entry point; :func:`main` backs the
 ``repro check`` CLI subcommand (see :mod:`repro.cli`).
 
 Exit codes: ``0`` clean, ``1`` findings (errors by default; warnings
-and stale baseline entries too under ``--strict``), ``2`` usage or
-I/O errors (raised as :class:`~repro.errors.ReproError` and rendered
-by the CLI).
+too under ``--strict``), ``2`` usage or I/O errors (raised as
+:class:`~repro.errors.ReproError` and rendered by the CLI). The only
+suppression is the per-line ``# repro: ignore[rule]`` pragma.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.check.base import CHECKERS
-from repro.check.baseline import Baseline, BaselineKey
 from repro.check.finding import Finding, Severity
 from repro.check.project import Project
 from repro.errors import ReproError
-
-DEFAULT_BASELINE = Path("checks") / "baseline.json"
 
 
 @dataclass(slots=True)
@@ -34,8 +31,6 @@ class Report:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[BaselineKey] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -48,7 +43,7 @@ class Report:
 
     def failed(self, strict: bool = False) -> bool:
         if strict:
-            return bool(self.findings or self.stale_baseline)
+            return bool(self.findings)
         return bool(self.errors)
 
     def summary(self) -> str:
@@ -57,12 +52,8 @@ class Report:
             f"{len(self.errors)} errors",
             f"{len(self.warnings)} warnings",
         ]
-        if self.baselined:
-            parts.append(f"{len(self.baselined)} baselined")
         if self.suppressed:
             parts.append(f"{len(self.suppressed)} pragma-ignored")
-        if self.stale_baseline:
-            parts.append(f"{len(self.stale_baseline)} stale baseline entries")
         return ", ".join(parts)
 
 
@@ -70,7 +61,6 @@ def run_check(
     paths: Sequence[str | Path],
     *,
     base: str | Path | None = None,
-    baseline: Baseline | None = None,
     select: Iterable[str] | None = None,
 ) -> Report:
     """Run the (selected) checkers over ``paths``.
@@ -79,7 +69,6 @@ def run_check(
         paths: Files and/or directories to scan (one parsed project —
             cross-module rules see everything together).
         base: Root findings' paths are made relative to (default: cwd).
-        baseline: Accepted findings to subtract from the report.
         select: Rule ids to run (default: all registered).
     """
     rules = list(select) if select is not None else sorted(CHECKERS)
@@ -102,17 +91,11 @@ def run_check(
                 else:
                     raw.append(finding)
 
-    report = Report(
-        suppressed=suppressed, files_checked=len(project.modules)
+    return Report(
+        findings=sorted(raw, key=lambda f: f.sort_key),
+        suppressed=suppressed,
+        files_checked=len(project.modules),
     )
-    if baseline is not None:
-        kept, baselined, stale = baseline.apply(raw)
-        report.findings = kept
-        report.baselined = baselined
-        report.stale_baseline = stale
-    else:
-        report.findings = sorted(raw, key=lambda f: f.sort_key)
-    return report
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -129,22 +112,8 @@ def add_arguments(parser) -> None:
         help="report format (default text)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file (default {DEFAULT_BASELINE} if it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report accepted findings too)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file from the current findings "
-        "and exit 0",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
-        help="fail on warnings and stale baseline entries, not just "
-        "errors",
+        help="fail on warnings, not just errors",
     )
     parser.add_argument(
         "--select", action="append", metavar="RULE",
@@ -160,14 +129,6 @@ def add_arguments(parser) -> None:
         help="print what RULE checks, how to act on a finding, and an "
         "example, then exit",
     )
-
-
-def _resolve_baseline_path(args) -> Path | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    return DEFAULT_BASELINE if DEFAULT_BASELINE.exists() else None
 
 
 def explain(rule: str) -> str:
@@ -202,43 +163,12 @@ def main(args) -> int:
         print(explain(args.explain))
         return 0
 
-    baseline_path = _resolve_baseline_path(args)
-    if args.update_baseline:
-        report = run_check(args.paths, select=args.select)
-        path = (
-            Path(args.baseline)
-            if args.baseline is not None
-            else DEFAULT_BASELINE
-        )
-        updated = Baseline.from_findings(report.findings)
-        if args.select and path.exists():
-            # A selected-rules run only saw those rules' findings;
-            # blindly rewriting would silently drop every other rule's
-            # accepted entries. Carry the unselected entries over.
-            selected = set(args.select)
-            previous = Baseline.load(path)
-            for key, count in previous.counts.items():
-                if key[0] not in selected:
-                    updated.counts[key] = count
-        updated.save(path)
-        kept = len(updated) - len(report.findings)
-        note = f" (kept {kept} entries of unselected rules)" if kept else ""
-        print(
-            f"wrote {len(updated)} accepted finding(s) to {path}{note}"
-        )
-        return 0
-
-    baseline = (
-        Baseline.load(baseline_path) if baseline_path is not None else None
-    )
-    report = run_check(args.paths, baseline=baseline, select=args.select)
+    report = run_check(args.paths, select=args.select)
 
     if args.format == "json":
         payload = {
             "findings": [f.to_dict() for f in report.findings],
-            "baselined": len(report.baselined),
             "pragma_ignored": len(report.suppressed),
-            "stale_baseline": [list(key) for key in report.stale_baseline],
             "files_checked": report.files_checked,
             "failed": report.failed(strict=args.strict),
         }
@@ -246,11 +176,5 @@ def main(args) -> int:
     else:
         for finding in report.findings:
             print(finding.render())
-        for rule, path, message in report.stale_baseline:
-            print(
-                f"{path}: stale[{rule}] baseline entry no longer "
-                f"matches anything: {message}",
-                file=sys.stderr,
-            )
         print(f"repro check: {report.summary()}")
     return 1 if report.failed(strict=args.strict) else 0

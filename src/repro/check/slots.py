@@ -8,8 +8,8 @@ therefore declare ``__slots__`` (directly or via
 ``@dataclass(slots=True)``).
 
 Hot functions are the per-request call chain, named in
-:data:`DEFAULT_HOT_FUNCTIONS`; additional functions can be marked in
-source with a ``# repro: hot`` comment on their ``def`` line.
+:data:`DEFAULT_HOT_FUNCTIONS`: the name list is the one way to mark a
+function hot.
 Exception classes are exempt — raising is already the slow path.
 Simple local aliases (``block_state = BlockState``) are followed, since
 the hot loops hoist class lookups into locals.
@@ -30,6 +30,8 @@ DEFAULT_HOT_FUNCTIONS = frozenset(
     {
         "_run_columnar",
         "_run_columnar_fast",
+        "_run_columnar_fast_pa",
+        "_run_columnar_fast_opg",
         "handle_request",
         "access",
         "admit",
@@ -46,12 +48,6 @@ DEFAULT_HOT_FUNCTIONS = frozenset(
         "account_into",
     }
 )
-
-
-def _is_hot(node: ast.FunctionDef, module: ModuleInfo) -> bool:
-    if node.name in DEFAULT_HOT_FUNCTIONS:
-        return True
-    return node.lineno in module.hot_lines
 
 
 def _local_class_aliases(
@@ -97,7 +93,7 @@ class SlotsChecker(Checker):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
-            if not _is_hot(node, module):
+            if node.name not in DEFAULT_HOT_FUNCTIONS:
                 continue
             yield from self._check_function(module, project, node)
 

@@ -21,20 +21,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from repro.core.chunked import ChunkedSortedList
-
-
-@dataclass(frozen=True)
-class Neighbors:
-    """Leader/follower of a prospective miss time."""
-
-    leader: float
-    follower: float
-    #: The time coincides with an already-known disk access, so adding
-    #: a miss there is free (the disk is active anyway).
-    coincident: bool
 
 
 class DiskTimeline:
@@ -44,9 +32,8 @@ class DiskTimeline:
     at time zero); ``end`` (the trace end) acts as the final follower.
     ``start`` is itself a member of the set, so the ``start``/``end``
     attributes only substitute for neighbors *outside* the stored
-    range. :meth:`neighbors_tuple` / :meth:`insert_tuple` are the one
-    implementation; :meth:`neighbors` / :meth:`insert` are thin
-    wrappers that box the same values into :class:`Neighbors`.
+    range. :meth:`neighbors_tuple` and :meth:`insert_tuple` answer
+    with plain tuples, which the fused OPG loop reads without boxing.
     """
 
     __slots__ = ("_times", "start", "end")
@@ -67,7 +54,7 @@ class DiskTimeline:
         """Bulk-build from ascending unique times (vectorized seeding).
 
         Produces exactly the state of inserting each time one by one —
-        the fused OPG prepare path uses it with the per-disk sorted
+        OPG's prepare uses it with the per-disk sorted
         first-access sweep from :mod:`repro.core.kernels`. ``times``
         may be any sequence (numpy array included) sorted strictly
         ascending; ``start`` is merged into place wherever it falls
@@ -89,18 +76,15 @@ class DiskTimeline:
 
     def neighbors_tuple(self, time: float) -> tuple[float, float, bool]:
         """Leader/follower for a prospective access at ``time`` as a
-        plain ``(leader, follower, coincident)`` tuple — the fused OPG
-        loop's allocation-free variant."""
+        ``(leader, follower, coincident)`` tuple; ``coincident`` is set
+        when the time is an already-known disk access, so a miss there
+        is free (the disk is active anyway)."""
         leader, follower, coincident = self._times.neighbors(time)
         return (
             self.start if leader is None else leader,
             self.end if follower is None else follower,
             coincident,
         )
-
-    def neighbors(self, time: float) -> Neighbors:
-        """:meth:`neighbors_tuple` boxed into :class:`Neighbors`."""
-        return Neighbors(*self.neighbors_tuple(time))
 
     def insert_tuple(self, time: float) -> tuple[float, float] | None:
         """Add a known access time.
@@ -117,10 +101,3 @@ class DiskTimeline:
             self.start if leader is None else leader,
             self.end if follower is None else follower,
         )
-
-    def insert(self, time: float) -> Neighbors | None:
-        """:meth:`insert_tuple` boxed into :class:`Neighbors`."""
-        nb = self.insert_tuple(time)
-        if nb is None:
-            return None
-        return Neighbors(leader=nb[0], follower=nb[1], coincident=False)

@@ -260,10 +260,12 @@ def histogram_quantile(edges, counts, total: int, p: float) -> float:
 def next_access_arrays(disks, blocks, times):
     """Next-occurrence position/time per access (stable lexsort sweep).
 
-    The scalar ``OfflinePolicy.prepare`` builds these with a reverse
-    Python loop over a dict; here a stable sort by ``(disk, block)``
-    makes every key's accesses contiguous in index order, so the
-    successor within each group *is* the next access.
+    This is the one way an offline policy is prepared
+    (``OfflinePolicy.prepare_columnar``). A reverse Python loop over a
+    dict, its mirror in the property suite, builds these one access
+    at a time; here a stable sort by ``(disk, block)`` makes every
+    key's accesses contiguous in index order, so the successor within
+    each group *is* the next access.
 
     Returns:
         ``(next_pos, next_time, first_mask)`` — position of the next
@@ -303,8 +305,8 @@ def first_times_by_disk(disks, times, first_mask):
 
     This is OPG's deterministic-miss seeding — every cold miss is a
     known disk access — delivered as ready-to-load sorted arrays
-    instead of one ``DiskTimeline.insert`` per key (each an O(n) list
-    insert).
+    (``DiskTimeline.from_sorted``) instead of one timeline insert per
+    key.
 
     Returns:
         ``[(disk_id, times_sorted_unique), ...]`` for every disk with

@@ -97,29 +97,21 @@ class OPGPolicy(OfflinePolicy):
 
     # -- preparation -----------------------------------------------------
 
-    def prepare(self, accesses) -> None:
-        super().prepare(accesses)
-        end = self._times[-1] if self._times else self._start_time
-        self._timelines = {}
-        self._res = {}
-        self._trace_end = end + self.tail_s
-        # Seed the deterministic-miss set with every cold miss (the
-        # first access to each block is a miss under any policy).
-        for key, first in self._first_pos.items():
-            self._timeline(key[0]).insert(self._times[first])
-
     def prepare_columnar(self, trace):
-        """Vectorized :meth:`prepare`: next-access arrays via the base
-        lexsort kernel, then the deterministic-miss seeding as a
-        sorted-array sweep (per-disk unique first-access times bulk-
-        loaded with :meth:`DiskTimeline.from_sorted`) instead of one
-        O(n) list insert per distinct key. State is bit-identical to
-        the scalar path. Returns the access trace."""
-        accesses = super().prepare_columnar(trace)
+        """The base preparation (next-access arrays), then the
+        deterministic-miss seeding: every cold miss is a known disk
+        access (the first access to each block misses under any
+        policy), so each disk's timeline is bulk-loaded from its sorted
+        unique first-access times
+        (:func:`repro.core.kernels.first_times_by_disk`,
+        :meth:`DiskTimeline.from_sorted`). Returns the base's
+        ``(accesses, starts)``."""
+        expanded = super().prepare_columnar(trace)
         from repro.core import kernels
 
-        # trace.times[-1] is the same float64 _times[-1] would hold;
-        # reading the array avoids materializing the lazy _times list.
+        accesses = expanded[0]
+        # trace.times[-1] is the last access's time; reading the array
+        # avoids materializing the lazy _times list.
         end = float(trace.times[-1]) if len(trace) else self._start_time
         self._timelines = {}
         self._res = {}
@@ -131,7 +123,7 @@ class OPGPolicy(OfflinePolicy):
                 first_times, start=self._start_time, end=self._trace_end
             )
             self._res[disk] = ChunkedSortedList()
-        return accesses
+        return expanded
 
     def _timeline(self, disk: int) -> DiskTimeline:
         tl = self._timelines.get(disk)

@@ -143,11 +143,9 @@ def run_crash_scenario(
     the pre-crash run.
     """
     # Deferred to avoid a circular import (engine -> faults.injector).
-    from repro.cache.policies.base import OfflinePolicy
     from repro.sim.config import SimulationConfig
     from repro.sim.engine import StorageSimulator
     from repro.sim.runner import build_policy, build_write_policy
-    from repro.traces.record import iter_accesses
 
     if fault_plan is not None:
         if crash_at is None and crash_time is None:
@@ -180,8 +178,7 @@ def run_crash_scenario(
         probe=probe,
         fault_plan=fault_plan,
     )
-    if isinstance(replacement, OfflinePolicy):
-        replacement.prepare(iter_accesses(requests))
+    simulator.prepare_offline()
 
     served = 0
     acked_writes = 0

@@ -35,7 +35,6 @@ from repro.cache.write.write_back import WriteBackPolicy
 from repro.cache.write.wtdu import WTDUPolicy
 from repro.core import kernels
 from repro.core.bloom import BloomFilter
-from repro.core.chunked import ChunkedSortedList
 from repro.core.classifier import DiskClass, DiskClassifier
 from repro.core.opg import OPGPolicy
 from repro.core.pa import PowerAwarePolicy
@@ -58,7 +57,7 @@ from repro.sim.results import DiskReport, ResponseStats, SimulationResult
 from repro.snapshot import load_state, pack_floats, state_of, unpack_floats
 from repro.traces import columnar
 from repro.traces.columnar import ColumnarTrace, iter_chunks, iter_rows
-from repro.traces.record import IORequest, iter_accesses
+from repro.traces.record import IORequest
 
 #: Fast-path audit registry, enforced statically by ``repro check``'s
 #: ``fastpath`` rule: every concrete subclass of the gated base classes
@@ -212,19 +211,26 @@ class StorageSimulator:
         self._disk_reads = 0
         self._ran = False
 
-    def prepare_offline(self) -> None:
+    def prepare_offline(self):
         """Prepare an offline policy from the constructor trace.
 
-        No-op for online policies. Called by :meth:`run`; incremental
-        drivers (:class:`~repro.sim.session.SimulationSession`, the
-        crash harness) that bypass :meth:`run` but still know the whole
-        trace up front may call it directly before feeding.
+        A list trace is packed into columns first
+        (:meth:`ColumnarTrace.from_requests`): every offline policy is
+        prepared by ``prepare_columnar``. Returns the trace's per-block
+        expansion that the policy was prepared on (the ``(accesses,
+        starts)`` pair of :meth:`ColumnarTrace.block_accesses`), which
+        a fused loop runs on instead of expanding the trace again;
+        ``None`` for an online policy. Called by :meth:`run`; a driver
+        that calls :meth:`handle_request` itself but knows the whole
+        trace up front (the crash harness) calls it before the first
+        request.
         """
-        if isinstance(self.policy, OfflinePolicy):
-            if isinstance(self.trace, ColumnarTrace):
-                self.policy.prepare_columnar(self.trace)
-            else:
-                self.policy.prepare(iter_accesses(self.trace))
+        if not isinstance(self.policy, OfflinePolicy):
+            return None
+        trace = self.trace
+        if not isinstance(trace, ColumnarTrace):
+            trace = ColumnarTrace.from_requests(trace)
+        return self.policy.prepare_columnar(trace)
 
     def run(self) -> SimulationResult:
         """Execute the simulation; may be called once per instance.
@@ -252,23 +258,22 @@ class StorageSimulator:
                     f"trace not time-ordered at t={float(trace.times[bad])} "
                     f"(< {float(trace.times[bad - 1])})"
                 )
-        self.prepare_offline()
-        if self.probe is not None:
-            start = trace[0].time if len(trace) else 0.0
-            self.probe(
-                SimulationStart(
-                    start,
-                    self.config.num_disks,
-                    self.config.cache_capacity_blocks,
-                    self.config.disk_design,
-                    self.label,
-                    num_modes=len(self.power_model),
-                )
-            )
-
         if columnar and self.probe is None:
             last_time = self._run_columnar()
         else:
+            self.prepare_offline()
+            if self.probe is not None:
+                start = trace[0].time if len(trace) else 0.0
+                self.probe(
+                    SimulationStart(
+                        start,
+                        self.config.num_disks,
+                        self.config.cache_capacity_blocks,
+                        self.config.disk_design,
+                        self.label,
+                        num_modes=len(self.power_model),
+                    )
+                )
             previous_time = -1.0
             last_time = 0.0
             handle_request = self.handle_request
@@ -295,13 +300,16 @@ class StorageSimulator:
         blocks in an inner loop; the fused loops, whose batch-kernel
         plans are per access, run over the trace's per-block access
         columns (:meth:`ColumnarTrace.block_accesses`) and fold each
-        request's accesses back into one response, the slowest.
+        request's accesses back into one response, the slowest. An
+        offline policy is prepared on those same columns
+        (:meth:`prepare_offline`), so a trace is expanded once per run.
 
         Every loop boxes one chunk of rows into Python objects at a
         time (:data:`~repro.traces.columnar.CHUNK_ROWS` of them, see
         :meth:`_access_rows`), so a run holds one chunk of boxed rows
         and its plan slices, not the whole trace.
         """
+        expanded = self.prepare_offline()
         trace: ColumnarTrace = self.trace
         if len(trace) == 0:
             return 0.0
@@ -317,7 +325,8 @@ class StorageSimulator:
         try:
             fused = self._fused_loop_for()
             if fused is not None:
-                return fused(*trace.block_accesses())
+                return fused(*(expanded or trace.block_accesses()))
+            del expanded  # released: the generic loop never reads it
             # the generic loop is re-entrant: once per chunk, as
             # handle_batch runs it once per fed batch
             last_time = 0.0
@@ -841,9 +850,12 @@ class StorageSimulator:
         The heap, ``_res`` lists and timelines are the policy's live
         objects; per-block next-time and stamp ride the cache's
         ``BlockState`` scratch slots (``opg_nt``/``opg_stamp``) so the
-        hit path's residency probe is the only per-access dict lookup,
-        and the ``_next_of``/``_stamp`` dicts are folded back from the
-        surviving states when the loop exits. The fused-loop gate
+        hit path's residency probe is the only per-access dict lookup;
+        the ``_stamp`` dict keeps only evicted blocks' stamps, and
+        ``_next_of`` stays empty. Nothing is handed back to the policy
+        when the loop exits: a simulator is single-use, and an offline
+        policy can be neither fed nor checkpointed, so no caller reads
+        its per-block state after the run. The fused-loop gate
         excludes pinning write policies, so no scalar policy call that
         could read the stale dicts (``_make_room`` → ``evict``) can
         interleave. Write-back activity notifications are rerouted from
@@ -911,12 +923,11 @@ class StorageSimulator:
                 bN = inf
                 prefN = curN = powN = spinN = 0.0
                 modeN = False
-        next_of = policy._next_of
         stamps = policy._stamp
         stamps_get = stamps.get
         heap = policy._heap
         # Every timeline shares the run's start/end and is pre-seeded
-        # for each disk the trace touches (prepare/prepare_columnar),
+        # for each disk the trace touches (prepare_columnar),
         # and the per-disk ``_res`` chunked lists exist alongside them,
         # so the chunked two-level representation (``_chunks`` +
         # ``_maxes``, both mutated in place and never rebound) can be
@@ -928,7 +939,7 @@ class StorageSimulator:
         # the hot path; unseeded ids can't appear in the loop, their
         # slots stay None). Scalar fallbacks mutate the same aliased
         # lists; the inlined mutations skip only the containers' _len
-        # counter (nothing in the loop reads it), restored in finally.
+        # counter, which nothing reads during or after the loop.
         timelines = policy._timelines
         res_lists = policy._res
         ndisks = max(timelines, default=-1) + 1
@@ -1451,35 +1462,7 @@ class StorageSimulator:
         finally:
             write_policy.activity_listener = saved_listener
             write_policy.disk_writes += wb_writes
-            # the inlined timeline mutations bypass the containers'
-            # _len bookkeeping (no loop code reads it); restore it
-            # before handing the structures back
-            for tl in timelines.values():
-                t = tl._times
-                t._len = sum(map(len, t._chunks))
-            # the loop never discards res entries eagerly (gap walks
-            # drop stale ones in place), so rebuild each disk's
-            # resident list exactly from the surviving block states —
-            # the same logical sequence the scalar path maintains
-            # eagerly; chunk layout is not observable through the
-            # container API
-            fresh: dict[int, list] = {d: [] for d in res_lists}
-            for (d, b), s in blocks.items():
-                if s.opg_nt != inf:
-                    fresh[d].append((s.opg_nt, b))
-            for d, items in fresh.items():
-                items.sort()
-                res_lists[d] = ChunkedSortedList.from_sorted(items)
-            # per-block next-time/stamp lived on the BlockState scratch
-            # slots during the loop; fold them back into the policy
-            # dicts so post-run callers (scalar on_remove/evict, a
-            # later incremental batch) see exactly the scalar-path
-            # state. Evicted blocks' stamps are already in the dict.
-            for k, s in blocks.items():
-                next_of[k] = s.opg_nt
-                stamps[k] = s.opg_stamp
 
-        policy._cursor = n_total
         stats.accesses += n_total
         stats.read_accesses += n_total - n_write_total
         stats.write_accesses += n_write_total

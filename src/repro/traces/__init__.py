@@ -26,7 +26,7 @@ from repro.traces.ingest import (
 )
 from repro.traces.locality import SpatialModel, ZipfStackModel
 from repro.traces.oltp import OLTPTraceConfig, generate_oltp_trace_columnar
-from repro.traces.record import IORequest, expand_accesses, iter_accesses
+from repro.traces.record import IORequest
 from repro.traces.stats import TraceCharacteristics, characterize
 from repro.traces.streaming import TraceBuilder, build_columnar
 from repro.traces.synthetic import (
@@ -76,7 +76,6 @@ __all__ = [
     "ZipfStackModel",
     "build_columnar",
     "characterize",
-    "expand_accesses",
     "generate_cdn_trace",
     "generate_cello_trace_columnar",
     "generate_dbms_trace",
@@ -85,7 +84,6 @@ __all__ = [
     "generate_tenant_trace",
     "import_to_csv",
     "import_trace",
-    "iter_accesses",
     "sniff_format",
     "trace_fingerprint",
 ]

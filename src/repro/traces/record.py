@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cache.block import BlockKey
 from repro.errors import TraceError
@@ -52,35 +52,3 @@ def validate_trace(trace: Sequence[IORequest]) -> None:
                 f"trace not time-ordered at index {i}: {req.time} < {previous}"
             )
         previous = req.time
-
-
-def expand_accesses(
-    trace: Iterable[IORequest],
-) -> list[tuple[float, BlockKey]]:
-    """Flatten a trace into per-block ``(time, key)`` accesses.
-
-    This is exactly the ``on_access`` stream the cache will issue, so
-    it is what offline policies must be prepared with. Prefer
-    :func:`iter_accesses` when the consumer streams (it avoids
-    materializing the flattened list).
-    """
-    return list(iter_accesses(trace))
-
-
-def iter_accesses(
-    trace: Iterable[IORequest],
-) -> Iterable[tuple[float, BlockKey]]:
-    """Stream the per-block ``(time, key)`` accesses of a trace.
-
-    Same sequence as :func:`expand_accesses` without building the list —
-    offline policies consume this directly, halving their peak memory.
-    """
-    for req in trace:
-        time = req.time
-        disk = req.disk
-        block = req.block
-        if req.nblocks == 1:
-            yield (time, (disk, block))
-        else:
-            for i in range(req.nblocks):
-                yield (time, (disk, block + i))

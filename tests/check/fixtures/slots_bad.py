@@ -15,5 +15,5 @@ def access(blocks):  # hot by name; exercises the local-alias path
     return [cls(b) for b in blocks]
 
 
-def custom_loop(blocks):  # repro: hot
+def _run_columnar_fast_opg(blocks):  # a fused loop, hot by name
     return [Loose(b) for b in blocks]

@@ -167,10 +167,10 @@ class TestSlots:
         report = check_fixture("slots_bad.py", select=["slots"])
         msgs = _messages(report.errors)
         # one report per hot function: by name, via a local alias, and
-        # via the `# repro: hot` pragma
+        # in a fused loop
         assert "hot function 'handle_request'" in msgs
         assert "hot function 'access'" in msgs
-        assert "hot function 'custom_loop'" in msgs
+        assert "hot function '_run_columnar_fast_opg'" in msgs
         assert all("Loose" in f.message for f in report.errors)
         assert len(report.errors) == 3
 

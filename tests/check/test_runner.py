@@ -1,10 +1,9 @@
-"""Runner mechanics: pragmas, the baseline file, CLI formats and codes."""
+"""Runner mechanics: pragmas, CLI formats and codes."""
 
 import json
 
 import pytest
 
-from repro.check.baseline import Baseline, BaselineError
 from repro.check.runner import run_check
 from repro.cli import main as cli_main
 from repro.errors import ReproError
@@ -21,12 +20,6 @@ class TestPragmas:
         live = report.findings[0]
         suppressed_lines = {f.line for f in report.suppressed}
         assert live.line not in suppressed_lines
-
-    def test_hot_pragma_reaches_slots_checker(self, check_fixture):
-        report = check_fixture("slots_bad.py", select=["slots"])
-        assert any(
-            "custom_loop" in f.message for f in report.findings
-        )
 
     def test_pragma_in_decorated_def_body(self, check_fixture):
         report = check_fixture("pragma_edges.py", select=["determinism"])
@@ -49,59 +42,6 @@ class TestPragmas:
             assert "repro: ignore" in src[f.line - 1]
         for f in report.findings:
             assert "repro: ignore" not in src[f.line - 1]
-
-
-class TestBaseline:
-    def test_roundtrip_suppresses_exactly(self, tmp_path, check_fixture):
-        raw = check_fixture("units_bad.py", select=["units"])
-        assert raw.findings
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(raw.findings).save(path)
-
-        report = run_check(
-            [FIXTURES / "units_bad.py"],
-            base=FIXTURES,
-            baseline=Baseline.load(path),
-            select=["units"],
-        )
-        assert report.findings == []
-        assert len(report.baselined) == len(raw.findings)
-        assert report.stale_baseline == []
-        assert not report.failed(strict=True)
-
-    def test_counted_entries_let_the_extra_occurrence_through(
-        self, check_fixture
-    ):
-        raw = check_fixture("units_bad.py", select=["units"])
-        # keep one fewer occurrence of the first key than really exists
-        short = Baseline.from_findings(raw.findings[:-1])
-        kept, suppressed, stale = short.apply(raw.findings)
-        assert len(suppressed) == len(raw.findings) - 1
-        assert len(kept) == 1
-        assert stale == []
-
-    def test_stale_entries_reported_and_fail_strict(self, check_fixture):
-        raw = check_fixture("units_clean.py", select=["units"])
-        ghost = Baseline.from_findings(
-            check_fixture("units_bad.py", select=["units"]).findings
-        )
-        kept, suppressed, stale = ghost.apply(raw.findings)
-        assert kept == [] and suppressed == []
-        assert stale  # entries matching nothing any more
-        report = run_check(
-            [FIXTURES / "units_clean.py"],
-            base=FIXTURES,
-            baseline=ghost,
-            select=["units"],
-        )
-        assert not report.failed(strict=False)
-        assert report.failed(strict=True)
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
 
 
 class TestRunner:
@@ -129,7 +69,6 @@ class TestCli:
             [
                 "check",
                 str(FIXTURES / "units_bad.py"),
-                "--no-baseline",
                 "--select", "units",
             ]
         )
@@ -143,7 +82,6 @@ class TestCli:
             [
                 "check",
                 str(FIXTURES / "units_bad.py"),
-                "--no-baseline",
                 "--format", "json",
                 "--select", "units",
             ]
@@ -163,7 +101,6 @@ class TestCli:
             [
                 "check",
                 str(FIXTURES / "units_clean.py"),
-                "--no-baseline",
                 "--strict",
                 "--select", "units",
             ]
@@ -171,80 +108,12 @@ class TestCli:
         assert rc == 0
         assert "0 errors, 0 warnings" in capsys.readouterr().out
 
-    def test_update_baseline_writes_file(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        rc = cli_main(
-            [
-                "check",
-                str(FIXTURES / "units_bad.py"),
-                "--baseline", str(path),
-                "--update-baseline",
-                "--select", "units",
-            ]
-        )
-        assert rc == 0
-        data = json.loads(path.read_text())
-        assert data["version"] == 1
-        assert len(data["entries"]) == 3
-        # a second run against the fresh baseline is green, even strict
-        rc = cli_main(
-            [
-                "check",
-                str(FIXTURES / "units_bad.py"),
-                "--baseline", str(path),
-                "--strict",
-                "--select", "units",
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 0
-
-    def test_update_baseline_with_select_keeps_other_rules(
-        self, tmp_path, capsys
-    ):
-        # Regression: --update-baseline --select RULE used to rewrite
-        # the whole file from the selected-rules run, silently dropping
-        # every other rule's accepted entries.
-        path = tmp_path / "baseline.json"
-        paths = [
-            str(FIXTURES / "units_bad.py"),
-            str(FIXTURES / "determinism_bad.py"),
-        ]
-        rc = cli_main(
-            ["check", *paths, "--baseline", str(path), "--update-baseline"]
-        )
-        assert rc == 0
-        before = json.loads(path.read_text())["entries"]
-        assert {"units", "determinism"} <= {e["rule"] for e in before}
-
-        rc = cli_main(
-            [
-                "check", *paths,
-                "--baseline", str(path),
-                "--update-baseline",
-                "--select", "units",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "kept" in out
-        after = json.loads(path.read_text())["entries"]
-        assert {e["rule"] for e in after} == {e["rule"] for e in before}
-        assert after == before  # nothing actually changed in the tree
-
-        # the merged baseline still greens a full strict run
-        rc = cli_main(
-            ["check", *paths, "--baseline", str(path), "--strict"]
-        )
-        capsys.readouterr()
-        assert rc == 0
-
     def test_pragmas_surface_in_json_and_exit_codes(self, capsys):
         # live findings fail even with pragmas present...
         rc = cli_main(
             [
                 "check", str(FIXTURES / "pragma_edges.py"),
-                "--no-baseline", "--format", "json",
+                "--format", "json",
                 "--select", "determinism",
             ]
         )
@@ -263,7 +132,7 @@ class TestCli:
         rc = cli_main(
             [
                 "check", str(src),
-                "--no-baseline", "--format", "json", "--strict",
+                "--format", "json", "--strict",
                 "--select", "determinism",
             ]
         )

@@ -5,7 +5,6 @@ CI job enforces must hold on the shipped tree, so a regression shows up
 here (and in CI) rather than only on someone's workstation.
 """
 
-from repro.check.baseline import Baseline
 from repro.check.runner import run_check
 from repro.cli import main as cli_main
 
@@ -21,15 +20,6 @@ def test_src_repro_is_clean():
         f.render() for f in report.warnings
     )
     assert report.files_checked > 50
-
-
-def test_committed_baseline_is_empty_and_not_stale():
-    baseline = Baseline.load(REPO_ROOT / "checks" / "baseline.json")
-    assert len(baseline) == 0
-    report = run_check(
-        [REPO_ROOT / "src" / "repro"], base=REPO_ROOT, baseline=baseline
-    )
-    assert report.stale_baseline == []
 
 
 def test_cli_strict_gate_passes(monkeypatch, capsys):

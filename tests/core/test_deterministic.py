@@ -8,55 +8,55 @@ from repro.core.deterministic import DiskTimeline
 class TestDiskTimeline:
     def test_start_is_initial_leader(self):
         tl = DiskTimeline(start=0.0, end=100.0)
-        nb = tl.neighbors(50.0)
-        assert nb.leader == 0.0
-        assert nb.follower == 100.0
-        assert not nb.coincident
+        leader, follower, coincident = tl.neighbors_tuple(50.0)
+        assert leader == 0.0
+        assert follower == 100.0
+        assert not coincident
 
     def test_insert_returns_pre_insertion_neighbors(self):
         tl = DiskTimeline(start=0.0, end=100.0)
-        nb = tl.insert(40.0)
-        assert nb.leader == 0.0 and nb.follower == 100.0
-        nb2 = tl.insert(60.0)
-        assert nb2.leader == 40.0 and nb2.follower == 100.0
+        leader, follower = tl.insert_tuple(40.0)
+        assert leader == 0.0 and follower == 100.0
+        leader2, follower2 = tl.insert_tuple(60.0)
+        assert leader2 == 40.0 and follower2 == 100.0
 
     def test_duplicate_insert_returns_none(self):
         tl = DiskTimeline()
-        assert tl.insert(10.0) is not None
-        assert tl.insert(10.0) is None
+        assert tl.insert_tuple(10.0) is not None
+        assert tl.insert_tuple(10.0) is None
 
     def test_neighbors_between_points(self):
         tl = DiskTimeline(start=0.0, end=100.0)
-        tl.insert(20.0)
-        tl.insert(80.0)
-        nb = tl.neighbors(50.0)
-        assert nb.leader == 20.0 and nb.follower == 80.0
+        tl.insert_tuple(20.0)
+        tl.insert_tuple(80.0)
+        leader, follower, _ = tl.neighbors_tuple(50.0)
+        assert leader == 20.0 and follower == 80.0
 
     def test_coincident_detection(self):
         tl = DiskTimeline(start=0.0, end=100.0)
-        tl.insert(20.0)
-        tl.insert(80.0)
-        nb = tl.neighbors(20.0)
-        assert nb.coincident
-        assert nb.leader == 0.0  # previous point
-        assert nb.follower == 80.0  # next point
+        tl.insert_tuple(20.0)
+        tl.insert_tuple(80.0)
+        leader, follower, coincident = tl.neighbors_tuple(20.0)
+        assert coincident
+        assert leader == 0.0  # previous point
+        assert follower == 80.0  # next point
 
     def test_contains(self):
         tl = DiskTimeline()
-        tl.insert(5.0)
+        tl.insert_tuple(5.0)
         assert 5.0 in tl
         assert 6.0 not in tl
 
     def test_default_end_is_inf(self):
         tl = DiskTimeline()
-        assert math.isinf(tl.neighbors(1e12).follower)
+        assert math.isinf(tl.neighbors_tuple(1e12)[1])
 
     def test_ordering_maintained(self):
         tl = DiskTimeline(start=0.0, end=1000.0)
         for t in (50.0, 10.0, 30.0, 70.0):
-            tl.insert(t)
-        nb = tl.neighbors(40.0)
-        assert nb.leader == 30.0 and nb.follower == 50.0
+            tl.insert_tuple(t)
+        leader, follower, _ = tl.neighbors_tuple(40.0)
+        assert leader == 30.0 and follower == 50.0
 
 
 class TestFromSorted:
@@ -64,7 +64,7 @@ class TestFromSorted:
 
     ``from_sorted`` promises "exactly the state of inserting each time
     one by one". The branch where ``times[0] < start`` used to fall
-    back to per-element ``insert`` calls — O(n) memmoves each, O(n^2)
+    back to per-element ``insert_tuple`` calls — O(n) memmoves each, O(n^2)
     for the build — so it gets a dedicated equivalence check alongside
     the common start-leads case.
     """
@@ -72,7 +72,7 @@ class TestFromSorted:
     def _incremental(self, times, start, end):
         tl = DiskTimeline(start=start, end=end)
         for t in times:
-            tl.insert(t)
+            tl.insert_tuple(t)
         return tl
 
     def test_start_precedes_all_times(self):
@@ -88,8 +88,8 @@ class TestFromSorted:
         tl = DiskTimeline.from_sorted(times, start=3.0, end=100.0)
         assert tl._times.to_list() == [1.0, 2.0, 3.0, 5.0, 7.0]
         assert 3.0 in tl and 1.0 in tl
-        nb = tl.neighbors(4.0)
-        assert nb.leader == 3.0 and nb.follower == 5.0
+        leader, follower, _ = tl.neighbors_tuple(4.0)
+        assert leader == 3.0 and follower == 5.0
 
     def test_start_already_known_not_duplicated(self):
         times = [1.0, 3.0, 7.0]

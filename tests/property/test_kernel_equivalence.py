@@ -80,7 +80,7 @@ def _scalar_roll_counts(times, epoch_length_s):
 
 
 def _scalar_next_arrays(disks, blocks, times):
-    """The ``OfflinePolicy.prepare`` reverse-loop reference."""
+    """The offline prepare as one reverse loop over a dict."""
     n = len(times)
     inf = float("inf")
     next_pos = [n] * n

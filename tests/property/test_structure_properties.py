@@ -65,14 +65,14 @@ def test_histogram_cdf_properties(intervals):
 def test_timeline_neighbors_bracket_query(times, query):
     tl = DiskTimeline(start=0.0, end=1e6)
     for t in times:
-        tl.insert(t)
-    nb = tl.neighbors(query)
-    assert nb.leader <= query <= nb.follower
+        tl.insert_tuple(t)
+    leader, follower, _ = tl.neighbors_tuple(query)
+    assert leader <= query <= follower
     # no known point lies strictly between leader/query or query/follower
     for t in times:
         if t != query:
-            assert not (nb.leader < t < query)
-            assert not (query < t < nb.follower)
+            assert not (leader < t < query)
+            assert not (query < t < follower)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), max_size=60))

@@ -182,6 +182,21 @@ def test_fused_loops_run_multiblock_traces(monkeypatch):
         _serialized(trace, num_disks=3, **kwargs)
 
 
+def test_an_opg_run_expands_its_trace_once(monkeypatch):
+    """Offline prepare and the fused OPG loop share one expansion."""
+    expansions = []
+    block_accesses = ColumnarTrace.block_accesses
+
+    def counted(self):
+        expanded = block_accesses(self)
+        expansions.append(expanded[1] is not None)
+        return expanded
+
+    monkeypatch.setattr(ColumnarTrace, "block_accesses", counted)
+    _serialized(_cdn(21, num_disks=3), num_disks=3, **POLICIES["opg"])
+    assert expansions.count(True) == 1
+
+
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("seed, num_disks", [(21, 3), (22, 7)])
 def test_multiblock_trace_differential(policy, seed, num_disks):

@@ -1,9 +1,9 @@
-"""Tests for trace records and access expansion."""
+"""Tests for trace records."""
 
 import pytest
 
 from repro.errors import TraceError
-from repro.traces.record import IORequest, expand_accesses, validate_trace
+from repro.traces.record import IORequest, validate_trace
 
 
 class TestIORequest:
@@ -48,13 +48,3 @@ class TestValidateTrace:
         with pytest.raises(TraceError):
             validate_trace(trace)
 
-
-class TestExpandAccesses:
-    def test_expansion_matches_block_keys(self, tiny_trace):
-        accesses = expand_accesses(tiny_trace)
-        assert len(accesses) == len(tiny_trace)  # all single-block
-        assert accesses[0] == (0.0, (0, 10))
-
-    def test_multiblock_expansion(self):
-        trace = [IORequest(time=1.0, disk=0, block=4, nblocks=2)]
-        assert expand_accesses(trace) == [(1.0, (0, 4)), (1.0, (0, 5))]
