@@ -68,11 +68,12 @@ class OfflinePolicy(ReplacementPolicy):
 
     Subclasses call :meth:`_advance` once per ``on_access`` to keep the
     cursor into the prepared sequence synchronized, and read
-    ``self._next_pos`` / ``self._times`` for future knowledge.
+    ``self._next_time`` (each access's next reference time; Belady
+    reads ``self._next_pos``, its position) for future knowledge.
     """
 
     #: Attributes :meth:`prepare_columnar` defers (see ``__getattr__``).
-    _LAZY_ATTRS = ("_times", "_keys", "_next_pos", "_next_time", "_first_pos")
+    _LAZY_ATTRS = ("_keys", "_next_pos", "_next_time")
 
     def __init__(self) -> None:
         self._prepared = False
@@ -108,32 +109,39 @@ class OfflinePolicy(ReplacementPolicy):
         ``(accesses, starts)`` pair ``block_accesses`` gave, so a run
         hands the same expansion to its fused loop.
 
-        No list is built here: the next-access times stay the kernel's
-        float64 array (``_next_time_array``), which the fused OPG loop
-        boxes one chunk at a time, and ``_times``, ``_keys``,
-        ``_next_pos``, ``_next_time`` and ``_first_pos`` are built on
-        first attribute access via ``__getattr__`` — the fused engine
-        loops never read them, and at a million accesses each deferred
-        ``tolist`` or dict build saves hundreds of milliseconds of
-        boxing and tens of MiB of Python objects.
+        A prepared policy keeps one of the kernel's arrays: by default
+        the next-access times (``_next_time_array``, float64), which
+        the fused OPG loop boxes one chunk at a time; Belady keeps the
+        next-access positions instead (``_next_pos_array``). No list is
+        built here: ``_keys``, ``_next_pos`` and ``_next_time`` are
+        built on first attribute access via ``__getattr__`` — the fused
+        engine loops never read them, and at a million accesses each
+        deferred ``tolist`` saves hundreds of milliseconds of boxing
+        and tens of MiB of Python objects.
         """
+        expanded, _, next_time, _ = self._prepare_arrays(trace)
+        self._next_time_array = next_time
+        return expanded
+
+    def _prepare_arrays(self, trace):
+        """The part every ``prepare_columnar`` shares: expand the
+        trace, reset the cursor and the lazy lists, and run the
+        next-access kernel. Returns ``(expanded, next_pos, next_time,
+        first_mask)``; the caller keeps what its policy reads, and the
+        rest is freed when its prepare returns."""
         from repro.core import kernels
 
         expanded = trace.block_accesses()
         accesses = expanded[0]
-        next_pos, next_time, first_mask = kernels.next_access_arrays(
+        arrays = kernels.next_access_arrays(
             accesses.disks, accesses.blocks, accesses.times
         )
         for name in self._LAZY_ATTRS:
             self.__dict__.pop(name, None)
-        self._lazy_cols = (
-            accesses.disks, accesses.blocks, accesses.times, next_pos
-        )
-        self._next_time_array = next_time
-        self._first_mask = first_mask
+        self._lazy_cols = (accesses.disks, accesses.blocks)
         self._cursor = 0
         self._prepared = True
-        return expanded
+        return (expanded, *arrays)
 
     def __getattr__(self, name: str):
         # Deferred materialization of the columnar-prepare products the
@@ -141,26 +149,20 @@ class OfflinePolicy(ReplacementPolicy):
         # ``_next_pos`` reads, OPG's scalar ``_next_time`` reads) hit
         # this once per attribute; the result is cached as a plain
         # instance attribute so subsequent lookups bypass
-        # ``__getattr__`` entirely.
+        # ``__getattr__`` entirely. A list whose array the policy did
+        # not keep raises AttributeError for the missing array.
         cols = self.__dict__.get("_lazy_cols")
         if cols is None or name not in OfflinePolicy._LAZY_ATTRS:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        disks, blocks, times, next_pos = cols
-        if name == "_times":
-            value = times.tolist()
-        elif name == "_keys":
+        if name == "_keys":
+            disks, blocks = cols
             value = list(zip(disks.tolist(), blocks.tolist()))
         elif name == "_next_pos":
-            value = next_pos.tolist()
-        elif name == "_next_time":
+            value = self._next_pos_array.tolist()
+        else:  # _next_time
             value = self._next_time_array.tolist()
-        else:  # _first_pos
-            keys = self._keys  # may itself materialize lazily
-            value = {
-                keys[i]: i for i in self._first_mask.nonzero()[0].tolist()
-            }
         setattr(self, name, value)
         return value
 

@@ -32,6 +32,16 @@ class BeladyPolicy(OfflinePolicy):
         # the next use even for re-inserts of pinned eviction victims.
         self._last_access: dict[BlockKey, int] = {}
 
+    def prepare_columnar(self, trace):
+        """The base preparation, keeping each access's next *position*
+        (``_next_pos_array``) instead of its next time: Belady ranks by
+        position in the access sequence, where times tie (one
+        request's blocks share a time). Returns the base's
+        ``(accesses, starts)``."""
+        expanded, next_pos, _, _ = self._prepare_arrays(trace)
+        self._next_pos_array = next_pos
+        return expanded
+
     def on_access(self, key: BlockKey, time: float, hit: bool) -> None:
         i = self._advance(key)
         self._last_access[key] = i

@@ -29,15 +29,15 @@ from repro.observe.events import DirtyFlush
 
 
 class WritePolicy(ABC):
-    """Strategy interface for handling writes."""
+    """Strategy interface for handling writes.
+
+    The engine's loops call these hooks polymorphically, except the
+    fused OPG loop: it runs only under exactly ``WriteBackPolicy``,
+    whose hooks it inlines, so OPG under any other write policy (a
+    ``WriteBackPolicy`` subclass included) takes the generic loop.
+    """
 
     name: str = "base"
-
-    #: Whether the policy may pin cache blocks (``cache.mark_logged``).
-    #: Fused engine loops that inline eviction without the pinned-block
-    #: fallback gate on this; a subclass that starts pinning must set
-    #: it ``True`` or evictions could target pinned blocks.
-    pins_blocks: bool = False
 
     def __init__(self) -> None:
         self.cache: StorageCache | None = None

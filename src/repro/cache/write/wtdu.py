@@ -26,9 +26,6 @@ class WTDUPolicy(WritePolicy):
 
     name = "WTDU"
 
-    # logged blocks are pinned until flushed back to their home disk
-    pins_blocks = True
-
     def __init__(
         self, log_device: LogDevice, max_pinned_fraction: float = 0.5
     ) -> None:

@@ -21,8 +21,8 @@ Eight domain checkers ship by default (see :data:`repro.check.base.CHECKERS`):
   (directly or through any resolved sync call chain) and ``await``
   while holding a synchronous lock.
 * ``resource`` — CFG reachability proving acquired resources (shm
-  segments, tmp files, armed crash points, saved-attribute swaps)
-  release/restore on all paths, exception edges included.
+  segments, tmp files, armed crash points) are released on all paths,
+  exception edges included.
 * ``fastpath`` — every concrete ``ReplacementPolicy`` / ``WritePolicy``
   / ``DiskPowerManager`` subclass must appear in the
   ``FAST_PATH_AUDITED`` gate registry in :mod:`repro.sim.engine`.

@@ -3,19 +3,13 @@
 The hot resources in this codebase are not garbage-collected away: a
 POSIX shared-memory segment from ``trace.share()`` outlives the
 process unless ``unlink()`` runs, a checkpoint/result tmp file from
-``mkstemp`` litters the store directory, an armed fault-injection
-crash point corrupts every later test if never disarmed, and the fused
-OPG loop swaps live engine attributes that *must* be restored. This
-pack proves, on the function's CFG (exception edges included), that:
-
-* every tracked **acquisition** (``*.share()``, ``tempfile.mkstemp``
-  and friends, ``arm*()``) reaches a **release** (``close``/``unlink``
-  / ``os.replace``/``cleanup``/``disarm`` ...) on *all* paths to both
-  the normal and the exceptional exit;
-* every **saved-attribute swap** (``saved_x = obj.attr`` ...
-  ``obj.attr = something`` ...) restores ``obj.attr = saved_x`` on all
-  paths — the ``finally``-restore discipline the fused engine loops
-  rely on.
+``mkstemp`` litters the store directory, and an armed fault-injection
+crash point corrupts every later test if never disarmed. This pack
+proves, on the function's CFG (exception edges included), that every
+tracked **acquisition** (``*.share()``, ``tempfile.mkstemp`` and
+friends, ``arm*()``) reaches a **release** (``close``/``unlink`` /
+``os.replace``/``cleanup``/``disarm`` ...) on *all* paths to both the
+normal and the exceptional exit.
 
 Precision rules, chosen to keep the repo's own idioms clean:
 
@@ -35,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.base import Checker, call_name, dotted_name, register
+from repro.check.base import Checker, call_name, register
 from repro.check.finding import Finding
 from repro.check.flow.callgraph import get_call_graph
 from repro.check.flow.cfg import CFG, EXC, Block
@@ -83,16 +77,14 @@ class ResourceChecker(Checker):
     rule = "resource"
     description = (
         "acquired resources (shm segments, tmp files, armed crash "
-        "points) and saved-attribute swaps must release/restore on all "
-        "paths, exception edges included"
+        "points) must be released on all paths, exception edges "
+        "included"
     )
     guidance = (
         "Put the release in a `finally:` (or hand the handle to a "
-        "context manager) so the exceptional path runs it too; for "
-        "attribute swaps, restore `obj.attr = saved_attr` in the "
-        "`finally` of the block that armed it. Guarding the cleanup "
-        "with `if handle is not None:` is fine — the guard itself "
-        "counts as the release point."
+        "context manager) so the exceptional path runs it too. "
+        "Guarding the cleanup with `if handle is not None:` is fine — "
+        "the guard itself counts as the release point."
     )
     example = (
         "executor.py:88: error[resource] shared-memory segment `shm` "
@@ -107,12 +99,7 @@ class ResourceChecker(Checker):
         for info in graph.functions.values():
             if info.module is not module:
                 continue
-            yield from self._check_function(module, info)
-
-    def _check_function(self, module: ModuleInfo, info) -> Iterator[Finding]:
-        cfg = info.cfg
-        yield from self._check_acquisitions(module, info, cfg)
-        yield from self._check_saved_attrs(module, info, cfg)
+            yield from self._check_acquisitions(module, info, info.cfg)
 
     # -- acquire/release --------------------------------------------------
 
@@ -189,65 +176,6 @@ class ResourceChecker(Checker):
                     "but is not reached on every path; move it to a "
                     "finally block",
                 )
-
-    # -- saved-attribute discipline ---------------------------------------
-
-    def _check_saved_attrs(
-        self, module: ModuleInfo, info, cfg: CFG
-    ) -> Iterator[Finding]:
-        saves: dict[str, tuple[Block, ast.Assign, str]] = {}
-        arms: dict[str, list[Block]] = {}
-        restores: dict[str, list[ast.AST]] = {}
-        for block in cfg.blocks:
-            node = block.node
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if (
-                isinstance(target, ast.Name)
-                and target.id.startswith("saved")
-                and isinstance(node.value, ast.Attribute)
-            ):
-                path = _attr_path(node.value)
-                if path is not None and path not in saves:
-                    saves[path] = (block, node, target.id)
-            elif isinstance(target, ast.Attribute):
-                path = _attr_path(target)
-                if path is None:
-                    continue
-                if isinstance(node.value, ast.Name) and node.value.id.startswith(
-                    "saved"
-                ):
-                    restores.setdefault(path, []).append(node)
-                else:
-                    arms.setdefault(path, []).append(block)
-        for path, (save_block, save_node, saved_name) in saves.items():
-            arm_blocks = arms.get(path)
-            if not arm_blocks:
-                continue  # saved but never swapped: nothing to restore
-            restore_nodes = restores.get(path)
-            if not restore_nodes:
-                yield self.finding(
-                    module,
-                    save_node,
-                    f"`{path}` is saved into `{saved_name}` and "
-                    "reassigned, but never restored from it; restore in "
-                    "a finally block",
-                )
-                continue
-            kill = self._kill_blocks(cfg, info.node, restore_nodes)
-            for arm_block in arm_blocks:
-                leaks = _leak_paths(cfg, arm_block, kill)
-                if leaks:
-                    yield self.finding(
-                        module,
-                        arm_block.node,
-                        f"`{path}` is reassigned here but the restore "
-                        f"from `{saved_name}` is not reached on the "
-                        f"{' and '.join(leaks)} path; restore in a "
-                        "finally block",
-                    )
-                    break  # one report per swap discipline is enough
 
     # -- CFG mechanics ----------------------------------------------------
 
@@ -363,11 +291,6 @@ def _classify_uses(
                 ) and _mentions(target, name):
                     uses.escapes = True
     return uses
-
-
-def _attr_path(node: ast.Attribute) -> str | None:
-    """``obj.attr`` chains as a dotted string (identity of the slot)."""
-    return dotted_name(node)
 
 
 def _mentions(node: ast.AST, name: str) -> bool:

@@ -190,8 +190,8 @@ def epoch_boundary_table(t_first: float, epoch_length_s: float,
     boundary is the previous *plus* the length — repeated addition, not
     ``t_first + k * length``, which differs in the last ulp.
 
-    The final entry is the first boundary strictly beyond ``t_last``:
-    the classifier's resting ``_epoch_end`` after the trace.
+    The final entry is the first boundary strictly beyond ``t_last``,
+    the end of the epoch the trace finishes in: no access rolls on it.
     """
     bounds = []
     boundary = t_first + epoch_length_s

@@ -98,26 +98,25 @@ class OPGPolicy(OfflinePolicy):
     # -- preparation -----------------------------------------------------
 
     def prepare_columnar(self, trace):
-        """The base preparation (next-access arrays), then the
-        deterministic-miss seeding: every cold miss is a known disk
-        access (the first access to each block misses under any
-        policy), so each disk's timeline is bulk-loaded from its sorted
-        unique first-access times
+        """The base preparation (next-access arrays, of which OPG keeps
+        the times), then the deterministic-miss seeding: every cold
+        miss is a known disk access (the first access to each block
+        misses under any policy), so each disk's timeline is
+        bulk-loaded from its sorted unique first-access times
         (:func:`repro.core.kernels.first_times_by_disk`,
         :meth:`DiskTimeline.from_sorted`). Returns the base's
         ``(accesses, starts)``."""
-        expanded = super().prepare_columnar(trace)
         from repro.core import kernels
 
+        expanded, _, next_time, first_mask = self._prepare_arrays(trace)
+        self._next_time_array = next_time
         accesses = expanded[0]
-        # trace.times[-1] is the last access's time; reading the array
-        # avoids materializing the lazy _times list.
         end = float(trace.times[-1]) if len(trace) else self._start_time
         self._timelines = {}
         self._res = {}
         self._trace_end = end + self.tail_s
         for disk, first_times in kernels.first_times_by_disk(
-            accesses.disks, accesses.times, self._first_mask
+            accesses.disks, accesses.times, first_mask
         ):
             self._timelines[disk] = DiskTimeline.from_sorted(
                 first_times, start=self._start_time, end=self._trace_end

@@ -531,11 +531,12 @@ class StorageSimulator:
         machine, so their gates are strict: exact policy types (a
         subclass could override any hook), no prefetcher (prefetch
         admissions would desynchronize the precomputed Bloom/next-access
-        plans). The OPG loop additionally requires
-        a write policy that never pins blocks (``pins_blocks``): it
-        inlines eviction without the pinned-block ``_make_room``
-        fallback. Anything else takes the generic
-        ``_run_columnar_fast`` with polymorphic policy calls.
+        plans). The OPG loop additionally requires exactly
+        ``WriteBackPolicy``, the write policy every OPG benchmark and
+        figure runs: it inlines write-back's hooks and calls no write
+        policy method. Anything else, OPG under any other write policy
+        included, takes the generic ``_run_columnar_fast`` with
+        polymorphic policy calls.
         """
         if self.prefetcher is not None:
             return None
@@ -554,9 +555,7 @@ class StorageSimulator:
         if (
             type(policy) is OPGPolicy
             and not policy._next_of
-            # the OPG loop inlines eviction without the pinned-block
-            # make_room fallback, so the write policy must never pin
-            and not self.write_policy.pins_blocks
+            and type(self.write_policy) is WriteBackPolicy
         ):
             return self._run_columnar_fast_opg
         return None
@@ -581,9 +580,13 @@ class StorageSimulator:
         Everything else (LRU stacks, `_home` map, `_classes`) is the
         policy's **live** state, mutated in place, so the generic
         fallbacks (``_make_room`` with pinned blocks, write-policy
-        hooks) stay coherent mid-run; residual classifier state is
-        written back after the loop. Bit-identity with the scalar path
-        is pinned by the fused-path differential tests.
+        hooks) stay coherent mid-run. The classifier's other state
+        (Bloom words, per-disk miss counts and histograms, last miss
+        times, epoch clock) lives in the loop's locals and is not
+        handed back: a simulator is single-use, and a fused run is a
+        batch run, never a session, so nothing reads it afterwards.
+        Bit-identity with the scalar path is pinned by the fused-path
+        differential tests.
         """
         cache = self.cache
         policy: PowerAwarePolicy = self.policy
@@ -592,7 +595,7 @@ class StorageSimulator:
         num_disks = classifier.num_disks
 
         # -- batch-kernel plans ------------------------------------------
-        cold_plan, bloom_count, bloom_words = kernels.bloom_cold_mask(
+        cold_plan, _, _ = kernels.bloom_cold_mask(
             trace.disks, trace.blocks, bloom.num_bits, bloom.num_hashes
         )
         boundaries = kernels.epoch_boundary_table(
@@ -654,7 +657,6 @@ class StorageSimulator:
                 )
                 miss_ct[d] = 0
                 cold_ct[d] = 0
-            classifier.epochs_completed += 1
 
         # -- engine locals (mirrors _run_columnar_fast) ------------------
         blocks = cache._blocks
@@ -787,18 +789,6 @@ class StorageSimulator:
                         after_read_wake(disk, time, woke=wake_delay > 0)
             append_response(worst)
 
-        # -- residual state write-back -----------------------------------
-        bloom._words = bloom_words
-        bloom._count = bloom_count
-        stats_list = classifier._stats
-        for d in range(num_disks):
-            dstats = stats_list[d]
-            dstats.misses = miss_ct[d]
-            dstats.cold_misses = cold_ct[d]
-            if buffers[d]:
-                dstats.histogram.add_batch(buffers[d])
-        classifier._last_disk_access = last_d
-        classifier._epoch_end = float(boundaries[-1])
         stats.accesses += n_acc
         stats.read_accesses += n_read
         stats.write_accesses += n_write
@@ -841,11 +831,17 @@ class StorageSimulator:
         was seeded during prepare, and a repeat miss occurs exactly at
         the recorded next-access time some earlier eviction already
         inserted — so the miss path carries no gap-split probe at all.
-        When the write policy is exactly ``WriteBackPolicy`` (the class
-        is fast-path audited), its three hooks are inlined: clean
-        evictions skip the ``on_evicted`` call, dirty victims flush
-        directly, and ``on_write`` becomes the ``mark_dirty`` update on
-        the state object already in hand.
+
+        The loop runs for one write policy, exactly ``WriteBackPolicy``
+        (the class is fast-path audited; see :meth:`_fused_loop_for`),
+        and inlines its three hooks: clean evictions cost nothing, a
+        dirty victim is submitted directly and its flush goes straight
+        to the fused gap splitter (what the scalar ``_write_to_disk`` →
+        ``note_disk_activity`` chain does; the splitter self-detects
+        already-known times via its locating bisect), and ``on_write``
+        becomes the ``mark_dirty`` update on the state object already
+        in hand. No write policy method runs during the loop, and the
+        flush count is added to ``disk_writes`` after it.
 
         The heap, ``_res`` lists and timelines are the policy's live
         objects; per-block next-time and stamp ride the cache's
@@ -855,19 +851,12 @@ class StorageSimulator:
         ``_next_of`` stays empty. Nothing is handed back to the policy
         when the loop exits: a simulator is single-use, and an offline
         policy can be neither fed nor checkpointed, so no caller reads
-        its per-block state after the run. The fused-loop gate
-        excludes pinning write policies, so no scalar policy call that
-        could read the stale dicts (``_make_room`` → ``evict``) can
-        interleave. Write-back activity notifications are rerouted from
-        the scalar ``note_disk_activity`` straight to the fused gap
-        splitter for the duration of the loop (it self-detects
-        already-known times via its locating bisect) — same timeline
-        inserts, same re-pushes, same stamps.
-        ``_last_access`` is deliberately left unmaintained:
-        its only consumer is ``on_insert``'s never-accessed guard, and
-        every ``on_insert`` reachable from the fused loop is a
-        pinned-victim re-insert that short-circuits on ``_next_of``.
-        Differential tests pin bit-identity.
+        its per-block state after the run. Write-back never pins a
+        block, so no scalar policy call that could read the stale
+        dicts (``_make_room`` → ``evict``, a pinned victim's
+        ``on_insert``) runs during the loop either; that is also why
+        ``_last_access``, read only by ``on_insert``, is left
+        unmaintained. Differential tests pin bit-identity.
         """
         cache = self.cache
         policy: OPGPolicy = self.policy
@@ -1192,8 +1181,8 @@ class StorageSimulator:
                 push(disk, blk, nt2, st2)
 
         # -- engine locals (mirrors _run_columnar_fast; no make_room —
-        # the non-pinning write-policy gate makes the scalar fallback
-        # unreachable, eviction is always the inline heap pop) -----------
+        # write-back never pins, so the scalar fallback is unreachable
+        # and eviction is always the inline heap pop) --------------------
         blocks = cache._blocks
         blocks_get = blocks.get
         stats = cache.stats
@@ -1202,21 +1191,16 @@ class StorageSimulator:
         cap_limit = inf if capacity is None else capacity
         dirty_get = cache._dirty_by_disk.get
         dirty_setdefault = cache._dirty_by_disk.setdefault
-        write_policy = self.write_policy
-        on_write = write_policy.on_write
-        on_evicted = write_policy.on_evicted
-        # WriteBackPolicy's hooks inlined under an exact-type gate (the
-        # class is FAST_PATH_AUDITED): on_evicted is a dirty-bit check
-        # in front of _write_to_disk, and on_write is cache.mark_dirty
-        # returning 0.0 client latency. Mirroring both in the loop lets
-        # the clean majority of evictions skip the call entirely.
-        wb_exact = type(write_policy) is WriteBackPolicy
-        after_read_wake = (
-            None
-            if type(write_policy).after_read_wake
-            is WritePolicy.after_read_wake
-            else write_policy.after_read_wake
-        )
+        # WriteBackPolicy's hooks are inlined (the gate is its exact
+        # type; the class is FAST_PATH_AUDITED): on_evicted is a
+        # dirty-bit check in front of _write_to_disk, on_write is
+        # cache.mark_dirty returning 0.0 client latency, and
+        # after_read_wake is the base no-op. The loop runs only without
+        # a probe, so _write_to_disk reduces to a per-disk submit, a
+        # counter bump and the activity listener, which is OPG's
+        # note_disk_activity, that is, _split_gap: the dirty-victim
+        # flush sites below submit directly and call split_gap, and the
+        # clean majority of evictions call nothing.
         quick = [d.submit_quick for d in self.array.disks]
         hit_latency = self.config.cache_hit_latency_s
         append_response = self._responses.append
@@ -1229,23 +1213,8 @@ class StorageSimulator:
         n_write_total = int(trace.is_write.sum())
         n_miss = n_cold = 0
         n_evict = n_dirty_evict = 0
-
-        # Reroute write-back activity notifications (attach() bound
-        # OPGPolicy's note_disk_activity, so there always is a listener)
-        # through the fused gap splitter; restored below even on error.
-        # The gap splitter doubles as the activity listener directly —
-        # its signature matches, and it self-detects already-known
-        # times — so flush notifications (mostly dirty victims landing
-        # on a *different* disk whose timeline has not seen this
-        # instant) pay no wrapper call.
-        saved_listener = write_policy.activity_listener
-        # The loop runs only without a probe, so _write_to_disk reduces
-        # to a per-disk submit, a counter bump, and the listener call —
-        # which is split_gap itself for the loop's duration — so the
-        # dirty-victim flush sites below submit directly and skip two
-        # delegation frames per flush; the deferred counter is folded
-        # back in the finally.
         wb_writes = 0
+
         # Residency count tracked as a local: loop code is the only
         # mutator of cache membership while the fused loop runs (write
         # policies flush/mark but never insert or remove), and every
@@ -1254,215 +1223,195 @@ class StorageSimulator:
         nblocks = len(blocks)
 
         time = 0.0
-        try:
-            # the swap sits inside the try so the finally's restore is
-            # reached from every statement that runs with it in place
-            write_policy.activity_listener = split_gap
-            for time, disk, block, is_write, nt_new in self._access_rows(
-                starts,
-                trace.times,
-                trace.disks,
-                trace.blocks,
-                trace.is_write,
-                policy._next_time_array,
-            ):
-                key = (disk, block)
-                worst = hit_latency
-                state = blocks_get(key)
-                if state is not None:
-                    # on_access(hit): fused untrack + track (+2 stamp,
-                    # one push — same final stamp and tuple as the
-                    # scalar pair), with next-time and stamp read off
-                    # the state object the residency probe already
-                    # fetched instead of the policy dicts (rebuilt in
-                    # the finally below)
-                    nt_old = state.opg_nt
-                    state.opg_nt = nt_new
-                    # res discard inlined; the add follows the branch
-                    # (resident finite-nt blocks are always tracked, so
-                    # the discarded item exists; nt_old is this
-                    # access's own time, hence finite — the guard
-                    # mirrors _untrack's). Infinite next times stay out
-                    # of res entirely: a gap walk's follower bound is
-                    # always finite. The item is (almost) always the
-                    # res front: every live entry is a pending future
-                    # access >= now == nt_old, and anything ordered
-                    # below it is a provably-stale leftover of a lazy
-                    # eviction — purge those wholesale, then pop the
-                    # front without a bisect.
-                    if nt_old != inf:
-                        rmaxes = res_maxes[disk]
-                        rchunks = res_chunks[disk]
-                        item = (nt_old, block)
-                        chunk = rchunks[0]
-                        while chunk[-1][0] < nt_old:
-                            del rchunks[0]
-                            del rmaxes[0]
-                            chunk = rchunks[0]
-                        if chunk[0][0] < nt_old:
-                            del chunk[: bisect_left(chunk, (nt_old, -1))]
-                        if chunk[0] == item:
-                            del chunk[0]
-                            if not chunk:
-                                del rchunks[0]
-                                del rmaxes[0]
-                        else:
-                            # coincident timestamps: locate exactly
-                            ci = bisect_left(rmaxes, item)
-                            chunk = rchunks[ci]
-                            i = bisect_left(chunk, item)
-                            del chunk[i]
-                            if not chunk:
-                                del rchunks[ci]
-                                del rmaxes[ci]
-                            elif i == len(chunk):
-                                rmaxes[ci] = chunk[-1]
-                    st = state.opg_stamp + 2
-                    state.opg_stamp = st
-                    bstate = state
-                    vkey = None
-                else:
-                    n_miss += 1
-                    if key not in seen:
-                        n_cold += 1
-                        seen.add(key)
-                    # on_access(miss) performs no timeline split here:
-                    # every miss lands on an already-known time — cold
-                    # misses are seeded by prepare, and a repeat miss
-                    # IS its block's recorded next-access time,
-                    # inserted the moment that block was evicted — so
-                    # the scalar path's split_gap is always the
-                    # already-known no-op (the differential suite and
-                    # the non-pinning gate keep the invariant honest).
-                    vkey = None
-                    if nblocks >= cap_limit:
-                        # OPG.evict inlined (lazy heap, fused untrack).
-                        # A heap entry is live iff its block is
-                        # resident AND its stamp is the block's current
-                        # one — the same acceptance set as the scalar
-                        # stamps/_next_of test, since untracked keys
-                        # always carry a bumped stamp no entry matches.
-                        while heap:
-                            pen, neg_nt, st, vd, vb = heappop(heap)
-                            vkey = (vd, vb)
-                            vstate = blocks_get(vkey)
-                            if vstate is None or vstate.opg_stamp != st:
-                                continue
-                            del blocks[vkey]
-                            nt_v = vstate.opg_nt
-                            # no eager res discard: the victim's entry
-                            # sits strictly inside the gap split below,
-                            # whose walk drops it (now stale) in place
-                            # — the untrack stamp bump outlives the
-                            # eviction (a re-insert continues the
-                            # sequence), so it goes to the dict, not
-                            # the dying state
-                            stamps[vkey] = st + 1
-                            if nt_v != inf:
-                                split_gap(vd, nt_v)
-                            break
-                        else:
-                            raise PolicyError(
-                                "OPG: evict with no resident blocks"
-                            )
-                        n_evict += 1
-                        vdirty = vstate.dirty
-                        if vdirty:
-                            n_dirty_evict += 1
-                            bucket = dirty_get(vd)
-                            if bucket is not None:
-                                bucket.discard(vkey)
-                    else:
-                        nblocks += 1
-                    # on_insert inlined (the res add follows the
-                    # branch): a re-inserted block resumes its stamp
-                    # sequence from the dict entry its last eviction
-                    # left behind.
-                    st = stamps_get(key, 0) + 1
-                    if vkey is not None and wb_exact:
-                        # recycle the victim's state object: its dirty
-                        # bit is captured above and inlined write-back
-                        # reads nothing else from it, so the fields can
-                        # be reset in place — a full-cache workload
-                        # otherwise allocates one BlockState per miss
-                        bstate = vstate
-                        bstate.dirty = False
-                        bstate.logged = False
-                        bstate.prefetched = False
-                        bstate.opg_nt = nt_new
-                        bstate.opg_stamp = st
-                    else:
-                        bstate = block_state(False, False, False, nt_new, st)
-                    blocks[key] = bstate
-                # track at this access's next time, hit or miss (prepare
-                # seeded res for every traced disk; inf next times stay
-                # out of res), then the one push both paths share
-                if nt_new != inf:
+        for time, disk, block, is_write, nt_new in self._access_rows(
+            starts,
+            trace.times,
+            trace.disks,
+            trace.blocks,
+            trace.is_write,
+            policy._next_time_array,
+        ):
+            key = (disk, block)
+            worst = hit_latency
+            state = blocks_get(key)
+            if state is not None:
+                # on_access(hit): fused untrack + track (+2 stamp,
+                # one push — same final stamp and tuple as the
+                # scalar pair), with next-time and stamp read off
+                # the state object the residency probe already
+                # fetched instead of the policy dicts
+                nt_old = state.opg_nt
+                state.opg_nt = nt_new
+                # res discard inlined; the add follows the branch
+                # (resident finite-nt blocks are always tracked, so
+                # the discarded item exists; nt_old is this
+                # access's own time, hence finite — the guard
+                # mirrors _untrack's). Infinite next times stay out
+                # of res entirely: a gap walk's follower bound is
+                # always finite. The item is (almost) always the
+                # res front: every live entry is a pending future
+                # access >= now == nt_old, and anything ordered
+                # below it is a provably-stale leftover of a lazy
+                # eviction — purge those wholesale, then pop the
+                # front without a bisect.
+                if nt_old != inf:
                     rmaxes = res_maxes[disk]
                     rchunks = res_chunks[disk]
-                    item = (nt_new, block)
-                    if not rmaxes:
-                        rchunks.append([item])
-                        rmaxes.append(item)
+                    item = (nt_old, block)
+                    chunk = rchunks[0]
+                    while chunk[-1][0] < nt_old:
+                        del rchunks[0]
+                        del rmaxes[0]
+                        chunk = rchunks[0]
+                    if chunk[0][0] < nt_old:
+                        del chunk[: bisect_left(chunk, (nt_old, -1))]
+                    if chunk[0] == item:
+                        del chunk[0]
+                        if not chunk:
+                            del rchunks[0]
+                            del rmaxes[0]
                     else:
-                        ci = bisect_right(rmaxes, item)
-                        if ci == len(rmaxes):
-                            ci -= 1
-                            chunk = rchunks[ci]
-                            chunk.append(item)
-                            rmaxes[ci] = item
-                        else:
-                            chunk = rchunks[ci]
-                            insort(chunk, item)
-                        if len(chunk) > cap:
-                            res_lists[disk]._split(ci)
-                push(disk, block, nt_new, st)
-                # -- write/read tails; call order is identical to the
-                # scalar engine's (victim flush first, then the
-                # access's own write or read) ------------------------------
-                if is_write:
-                    if wb_exact:
-                        if vkey is not None and vdirty:
-                            quick[vd](time, vb, True)
-                            wb_writes += 1
-                            split_gap(vd, time)
-                        # cache.mark_dirty(key) on the state in hand
-                        # (setdefault would allocate its default set on
-                        # every call; probe first, the bucket almost
-                        # always exists)
-                        if not (bstate.dirty or bstate.logged):
-                            bucket = dirty_get(disk)
-                            if bucket is None:
-                                dirty_setdefault(disk, set()).add(key)
-                            else:
-                                bucket.add(key)
-                        bstate.dirty = True
+                        # coincident timestamps: locate exactly
+                        ci = bisect_left(rmaxes, item)
+                        chunk = rchunks[ci]
+                        i = bisect_left(chunk, item)
+                        del chunk[i]
+                        if not chunk:
+                            del rchunks[ci]
+                            del rmaxes[ci]
+                        elif i == len(chunk):
+                            rmaxes[ci] = chunk[-1]
+                st = state.opg_stamp + 2
+                state.opg_stamp = st
+                bstate = state
+                vkey = None
+            else:
+                n_miss += 1
+                if key not in seen:
+                    n_cold += 1
+                    seen.add(key)
+                # on_access(miss) performs no timeline split here:
+                # every miss lands on an already-known time — cold
+                # misses are seeded by prepare, and a repeat miss
+                # IS its block's recorded next-access time,
+                # inserted the moment that block was evicted — so
+                # the scalar path's split_gap is always the
+                # already-known no-op (the differential suite and
+                # the write-back gate keep the invariant honest).
+                vkey = None
+                if nblocks >= cap_limit:
+                    # OPG.evict inlined (lazy heap, fused untrack).
+                    # A heap entry is live iff its block is
+                    # resident AND its stamp is the block's current
+                    # one — the same acceptance set as the scalar
+                    # stamps/_next_of test, since untracked keys
+                    # always carry a bumped stamp no entry matches.
+                    while heap:
+                        pen, neg_nt, st, vd, vb = heappop(heap)
+                        vkey = (vd, vb)
+                        vstate = blocks_get(vkey)
+                        if vstate is None or vstate.opg_stamp != st:
+                            continue
+                        del blocks[vkey]
+                        nt_v = vstate.opg_nt
+                        # no eager res discard: the victim's entry
+                        # sits strictly inside the gap split below,
+                        # whose walk drops it (now stale) in place
+                        # — the untrack stamp bump outlives the
+                        # eviction (a re-insert continues the
+                        # sequence), so it goes to the dict, not
+                        # the dying state
+                        stamps[vkey] = st + 1
+                        if nt_v != inf:
+                            split_gap(vd, nt_v)
+                        break
                     else:
-                        if vkey is not None:
-                            on_evicted(vkey, vstate, time)
-                        latency = on_write(key, time)
-                        if latency > worst:
-                            worst = latency
-                elif state is None:
-                    latency, wake_delay = quick[disk](time, block, False)
-                    disk_reads += 1
-                    if latency > worst:
-                        worst = latency
-                    if vkey is not None:
-                        if wb_exact:
-                            if vdirty:
-                                quick[vd](time, vb, True)
-                                wb_writes += 1
-                                split_gap(vd, time)
-                        else:
-                            on_evicted(vkey, vstate, time)
-                    if after_read_wake is not None:
-                        after_read_wake(disk, time, woke=wake_delay > 0)
-                append_response(worst)
-        finally:
-            write_policy.activity_listener = saved_listener
-            write_policy.disk_writes += wb_writes
+                        raise PolicyError(
+                            "OPG: evict with no resident blocks"
+                        )
+                    n_evict += 1
+                    vdirty = vstate.dirty
+                    if vdirty:
+                        n_dirty_evict += 1
+                        bucket = dirty_get(vd)
+                        if bucket is not None:
+                            bucket.discard(vkey)
+                else:
+                    nblocks += 1
+                # on_insert inlined (the res add follows the
+                # branch): a re-inserted block resumes its stamp
+                # sequence from the dict entry its last eviction
+                # left behind.
+                st = stamps_get(key, 0) + 1
+                if vkey is not None:
+                    # recycle the victim's state object: its dirty
+                    # bit is captured above and inlined write-back
+                    # reads nothing else from it, so the fields can
+                    # be reset in place — a full-cache workload
+                    # otherwise allocates one BlockState per miss
+                    bstate = vstate
+                    bstate.dirty = False
+                    bstate.logged = False
+                    bstate.prefetched = False
+                    bstate.opg_nt = nt_new
+                    bstate.opg_stamp = st
+                else:
+                    bstate = block_state(False, False, False, nt_new, st)
+                blocks[key] = bstate
+            # track at this access's next time, hit or miss (prepare
+            # seeded res for every traced disk; inf next times stay
+            # out of res), then the one push both paths share
+            if nt_new != inf:
+                rmaxes = res_maxes[disk]
+                rchunks = res_chunks[disk]
+                item = (nt_new, block)
+                if not rmaxes:
+                    rchunks.append([item])
+                    rmaxes.append(item)
+                else:
+                    ci = bisect_right(rmaxes, item)
+                    if ci == len(rmaxes):
+                        ci -= 1
+                        chunk = rchunks[ci]
+                        chunk.append(item)
+                        rmaxes[ci] = item
+                    else:
+                        chunk = rchunks[ci]
+                        insort(chunk, item)
+                    if len(chunk) > cap:
+                        res_lists[disk]._split(ci)
+            push(disk, block, nt_new, st)
+            # -- write/read tails; call order is identical to the
+            # scalar engine's (victim flush first, then the
+            # access's own write or read) ------------------------------
+            if is_write:
+                if vkey is not None and vdirty:
+                    quick[vd](time, vb, True)
+                    wb_writes += 1
+                    split_gap(vd, time)
+                # cache.mark_dirty(key) on the state in hand
+                # (setdefault would allocate its default set on
+                # every call; probe first, the bucket almost
+                # always exists)
+                if not (bstate.dirty or bstate.logged):
+                    bucket = dirty_get(disk)
+                    if bucket is None:
+                        dirty_setdefault(disk, set()).add(key)
+                    else:
+                        bucket.add(key)
+                bstate.dirty = True
+            elif state is None:
+                latency, _ = quick[disk](time, block, False)
+                disk_reads += 1
+                if latency > worst:
+                    worst = latency
+                if vkey is not None and vdirty:
+                    quick[vd](time, vb, True)
+                    wb_writes += 1
+                    split_gap(vd, time)
+            append_response(worst)
 
+        self.write_policy.disk_writes += wb_writes
         stats.accesses += n_total
         stats.read_accesses += n_total - n_write_total
         stats.write_accesses += n_write_total

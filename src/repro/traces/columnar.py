@@ -281,7 +281,8 @@ class ColumnarTrace:
             np.repeat(self.times, counts),
             np.repeat(self.disks, counts),
             np.repeat(self.blocks, counts) + offsets,
-            np.ones(len(offsets), dtype=np.int64),
+            # all ones: a zero-stride view, not a column in memory
+            np.broadcast_to(np.int64(1), len(offsets)),
             np.repeat(self.is_write, counts),
         )
         return accesses, starts

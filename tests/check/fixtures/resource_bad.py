@@ -13,16 +13,3 @@ def leaks_on_exception(trace, run):
 def never_releases():
     fd, tmp = tempfile.mkstemp()
     return None  # neither handle is ever released
-
-
-def swap_skips_exception(policy, hook, work):
-    saved_probe = policy.probe
-    policy.probe = hook
-    work()  # may raise: the restore below is skipped
-    policy.probe = saved_probe
-
-
-def swap_never_restored(policy, hook):
-    saved_probe = policy.probe
-    policy.probe = hook
-    hook()

@@ -46,12 +46,3 @@ def hands_off(trace):
 def context_managed():
     with tempfile.TemporaryDirectory() as tmpdir:
         return len(tmpdir)  # the context manager releases
-
-
-def swap_restored(policy, hook, work):
-    saved_probe = policy.probe
-    policy.probe = hook
-    try:
-        work()
-    finally:
-        policy.probe = saved_probe

@@ -108,20 +108,11 @@ class TestResource:
         msgs = _messages(report.errors)
         assert "`shm` from `share()` leaks on the exception path" in msgs
         assert "`fd/tmp` from `mkstemp()` is acquired but never" in msgs
-        assert len(report.errors) == 4
-
-    def test_saved_attribute_discipline(self, check_fixture):
-        report = check_fixture("resource_bad.py", select=["resource"])
-        msgs = _messages(report.errors)
-        assert (
-            "restore from `saved_probe` is not reached on the "
-            "exception path" in msgs
-        )
-        assert "never restored from it" in msgs
+        assert len(report.errors) == 2
 
     def test_silent_on_clean_twin(self, check_fixture):
         # finally-guarded releases, mkstemp+replace, ownership
-        # hand-off, context managers, finally-restored swaps
+        # hand-off, context managers
         report = check_fixture("resource_clean.py", select=["resource"])
         assert report.findings == []
 

@@ -39,12 +39,16 @@ class NaiveOPG(OfflinePolicy):
         self._known: dict[int, list[float]] = {}  # disk -> sorted times
 
     def prepare(self, accesses):
+        accesses = list(accesses)
         super().prepare(accesses)
-        end = self._times[-1] if self._times else 0.0
+        end = accesses[-1][0] if accesses else 0.0
         self._end = end + self.tail_s
         self._known = {}
-        for key, first in self._first_pos.items():
-            self._insert_known(key[0], self._times[first])
+        seen = set()
+        for time, key in accesses:
+            if key not in seen:  # a block's first access always misses
+                seen.add(key)
+                self._insert_known(key[0], time)
 
     def _insert_known(self, disk, time):
         times = self._known.setdefault(disk, [0.0])

@@ -10,9 +10,12 @@ chunks the boxed rows are a fraction of the peak.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.sim.runner import run_simulation
+from repro.sim.config import SimulationConfig
+from repro.sim.runner import build_policy, run_simulation
 from repro.traces.columnar import CHUNK_ROWS, ColumnarTrace
+from repro.traces.zoo import CDNTraceConfig, generate_cdn_trace
 
 
 def _hit_heavy_trace(rows: int) -> ColumnarTrace:
@@ -50,3 +53,22 @@ def test_fused_pa_lru_peak_per_access_is_bounded():
     # response samples, the plan arrays); boxing the whole trace up
     # front took about 127
     assert peak / len(trace) < 85
+
+
+@pytest.mark.parametrize(
+    "name, kept", [("opg", "_next_time_array"), ("belady", "_next_pos_array")]
+)
+def test_a_prepared_offline_policy_holds_one_future_array(name, kept):
+    """Prepare keeps the one per-access kernel array its policy reads,
+    and the expansion's all-ones ``nblocks`` column takes no memory."""
+    trace = generate_cdn_trace(CDNTraceConfig(duration_s=4.0, num_disks=3))
+    policy = build_policy(name, SimulationConfig(3, 64))
+    accesses, starts = policy.prepare_columnar(trace)
+    assert starts is not None  # a multi-block trace, expanded
+    assert accesses.nblocks.strides == (0,)
+    assert (accesses.nblocks == 1).all()
+    arrays = {k for k, v in vars(policy).items() if isinstance(v, np.ndarray)}
+    assert arrays == {kept}
+    # the lazy key list's columns are the expansion's own
+    disks, blocks = policy._lazy_cols
+    assert disks is accesses.disks and blocks is accesses.blocks

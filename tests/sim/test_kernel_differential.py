@@ -19,8 +19,10 @@ import json
 
 import pytest
 
+from repro.cache.write.write_back import WriteBackPolicy
+from repro.sim.config import SimulationConfig
 from repro.sim.engine import StorageSimulator
-from repro.sim.runner import run_simulation
+from repro.sim.runner import build_policy, build_write_policy, run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
 from repro.traces.synthetic import (
@@ -195,6 +197,31 @@ def test_an_opg_run_expands_its_trace_once(monkeypatch):
     monkeypatch.setattr(ColumnarTrace, "block_accesses", counted)
     _serialized(_cdn(21, num_disks=3), num_disks=3, **POLICIES["opg"])
     assert expansions.count(True) == 1
+
+
+class _WriteBackSubclass(WriteBackPolicy):
+    """Overrides nothing, yet could: the fused OPG loop must not run."""
+
+
+@pytest.mark.parametrize(
+    "write_policy",
+    ["write-back", "write-through", "wbeu", "periodic-flush", "wtdu", "sub"],
+)
+def test_the_fused_opg_loop_runs_under_write_back_only(write_policy):
+    config = SimulationConfig(num_disks=3, cache_capacity_blocks=64)
+    simulator = StorageSimulator(
+        _cdn(21, num_disks=3),
+        config,
+        build_policy("opg", config),
+        _WriteBackSubclass()
+        if write_policy == "sub"
+        else build_write_policy(write_policy, num_disks=3),
+    )
+    loop = simulator._fused_loop_for()
+    if write_policy == "write-back":
+        assert loop == simulator._run_columnar_fast_opg
+    else:
+        assert loop is None
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
