@@ -26,15 +26,18 @@ class BlockState:
     #: Set for blocks admitted by the prefetcher and not yet demanded;
     #: cleared (and counted as a prefetch hit) on first demand access.
     prefetched: bool = False
-    #: Scratch slots for the fused OPG loop (``sim/engine.py``): the
-    #: block's next-access time and lazy-heap stamp, which the scalar
-    #: path keeps in ``OPGPolicy._next_of`` / ``_stamp`` dicts. Riding
-    #: on the state object the hit path already holds makes the fused
-    #: loop's per-access bookkeeping dict-free. Nothing copies them
-    #: back into the policy dicts: nothing reads an OPG policy after a
-    #: run. Meaningless outside that loop.
+    #: Scratch slots for the fused loops (``sim/engine.py``), which keep
+    #: per-block policy state on the state object the hit path already
+    #: holds instead of in the policy's dicts. The fused OPG loop keeps
+    #: the block's next-access time and lazy-heap stamp here (the
+    #: scalar path's ``OPGPolicy._next_of`` / ``_stamp``); the fused
+    #: PA-LRU loop keeps the block's side, ``True`` when it sits in the
+    #: priority stack (the scalar path's ``PowerAwarePolicy._home``).
+    #: Nothing copies them back into the policy: nothing reads an OPG
+    #: or PA policy after a run. Meaningless outside those loops.
     opg_nt: float = 0.0
     opg_stamp: int = 0
+    pa_priority: bool = False
 
     @property
     def pinned(self) -> bool:

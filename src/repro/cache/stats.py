@@ -14,6 +14,9 @@ class CacheStats:
     ``cold_misses`` counts first-ever accesses to a block (tracked
     exactly with a set — the online PA policy uses a Bloom filter
     instead, as the paper does, but the *report* should be exact).
+    The engine's fused loops, which start from a cache that has seen
+    no block, count them from the trace instead (one per distinct
+    block) and leave ``_seen`` empty.
     """
 
     accesses: int = 0

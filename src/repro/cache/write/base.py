@@ -32,9 +32,11 @@ class WritePolicy(ABC):
     """Strategy interface for handling writes.
 
     The engine's loops call these hooks polymorphically, except the
-    fused OPG loop: it runs only under exactly ``WriteBackPolicy``,
-    whose hooks it inlines, so OPG under any other write policy (a
-    ``WriteBackPolicy`` subclass included) takes the generic loop.
+    fused PA-LRU and OPG loops, which inline the hooks of the exact
+    write-policy types they run under: ``WriteBackPolicy`` for both,
+    and ``WriteThroughPolicy`` for PA-LRU. Under any other write
+    policy (a subclass of either included) PA-LRU and OPG take the
+    generic loop.
     """
 
     name: str = "base"

@@ -22,6 +22,10 @@ request touches
 * :func:`first_times_by_disk` — OPG's deterministic-miss timeline
   seeding as a sorted-array sweep.
 
+:func:`access_keys`, a helper rather than a kernel, is the one exact
+fusion of a ``(disk, block)`` pair into an int64 key: the offline
+prepare sorts it, and so does the fused PA-LRU loop's cold-miss count.
+
 Every kernel is **bit-identical** to the scalar loop it replaces — not
 approximately equal. The property suite
 (``tests/property/test_kernel_equivalence.py``) pins each one against
@@ -256,6 +260,34 @@ def histogram_quantile(edges, counts, total: int, p: float) -> float:
 # -- offline-policy forward knowledge -------------------------------------
 
 
+def access_keys(disks, blocks):
+    """One int64 key per ``(disk, block)`` pair, equal exactly when the
+    pairs are: the one way the columns' two ids are fused.
+
+    Both ids are offset by their minima, so ``disk * span + block`` is
+    collision-free for any ids, negative ones included, while the fused
+    range fits int64; past it (never on a real trace) a pair's key is
+    its index among the distinct pairs, compared as rows. Returns a
+    new array, so callers may sort it in place.
+    """
+    disks = np.asarray(disks, dtype=np.int64)
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if not len(disks):
+        return np.zeros(0, dtype=np.int64)
+    first_disk = int(disks.min())
+    first_block = int(blocks.min())
+    span = int(blocks.max()) - first_block + 1
+    if (int(disks.max()) - first_disk + 1) * span >= 1 << 63:
+        _, keys = np.unique(
+            np.stack((disks, blocks), axis=1), axis=0, return_inverse=True
+        )
+        return keys.reshape(-1).astype(np.int64, copy=False)
+    keys = disks - first_disk
+    keys *= span
+    keys += blocks - first_block
+    return keys
+
+
 @batch_kernel
 def next_access_arrays(disks, blocks, times):
     """Next-occurrence position/time per access (stable lexsort sweep).
@@ -282,12 +314,10 @@ def next_access_arrays(disks, blocks, times):
     first_mask = np.ones(n, dtype=bool)
     if n == 0:
         return next_pos, next_time, first_mask
-    # Stable sort on one fused (disk, block) key instead of a
-    # two-pass lexsort: disk ids are small, so disk * (max_block + 1)
-    # + block is collision-free in int64 and orders exactly like the
-    # (blocks, disks) lexsort — one sort pass instead of two, and the
-    # group-boundary test collapses to a single comparison.
-    fused = disks.astype(np.int64) * (np.int64(blocks.max()) + 1) + blocks
+    # Stable sort on one exact fused (disk, block) key (access_keys)
+    # instead of a two-pass lexsort: one sort pass instead of two, and
+    # the group-boundary test collapses to a single comparison.
+    fused = access_keys(disks, blocks)
     order = np.argsort(fused, kind="stable")
     fused = fused[order]
     same = fused[1:] == fused[:-1]

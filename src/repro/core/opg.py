@@ -104,12 +104,15 @@ class OPGPolicy(OfflinePolicy):
         misses under any policy), so each disk's timeline is
         bulk-loaded from its sorted unique first-access times
         (:func:`repro.core.kernels.first_times_by_disk`,
-        :meth:`DiskTimeline.from_sorted`). Returns the base's
+        :meth:`DiskTimeline.from_sorted`). Also keeps how many
+        distinct blocks the accesses touch (``_key_count``), which the
+        fused loop reports as its cold misses. Returns the base's
         ``(accesses, starts)``."""
         from repro.core import kernels
 
         expanded, _, next_time, first_mask = self._prepare_arrays(trace)
         self._next_time_array = next_time
+        self._key_count = int(first_mask.sum())
         accesses = expanded[0]
         end = float(trace.times[-1]) if len(trace) else self._start_time
         self._timelines = {}

@@ -61,6 +61,10 @@ class SimulationConfig:
             )
         if self.trace_tail_s < 0:
             raise ConfigurationError("trace_tail_s must be >= 0")
+        if not self.cache_hit_latency_s >= 0:
+            # the fused loops answer a write-back write with the hit
+            # latency itself, the reference with max(it, 0.0)
+            raise ConfigurationError("cache_hit_latency_s must be >= 0")
         if self.disk_design not in ("full-speed-only", "all-speed"):
             raise ConfigurationError(
                 "disk_design must be 'full-speed-only' or 'all-speed', "

@@ -32,6 +32,7 @@ from repro.cache.policies.base import OfflinePolicy, ReplacementPolicy
 from repro.cache.policies.lru import LRUPolicy
 from repro.cache.write.base import WritePolicy
 from repro.cache.write.write_back import WriteBackPolicy
+from repro.cache.write.write_through import WriteThroughPolicy
 from repro.cache.write.wtdu import WTDUPolicy
 from repro.core import kernels
 from repro.core.bloom import BloomFilter
@@ -120,6 +121,17 @@ FAST_PATH_AUDITED: dict[str, frozenset[str]] = {
         }
     ),
 }
+
+
+def _distinct_keys(disks: np.ndarray, blocks: np.ndarray) -> int:
+    """How many distinct ``(disk, block)`` keys two access columns hold,
+    keyed as ``next_access_arrays`` keys them
+    (:func:`repro.core.kernels.access_keys`)."""
+    if not len(disks):
+        return 0
+    keys = kernels.access_keys(disks, blocks)
+    keys.sort()
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 class StorageSimulator:
@@ -531,14 +543,24 @@ class StorageSimulator:
         machine, so their gates are strict: exact policy types (a
         subclass could override any hook), no prefetcher (prefetch
         admissions would desynchronize the precomputed Bloom/next-access
-        plans). The OPG loop additionally requires exactly
-        ``WriteBackPolicy``, the write policy every OPG benchmark and
-        figure runs: it inlines write-back's hooks and calls no write
-        policy method. Anything else, OPG under any other write policy
-        included, takes the generic ``_run_columnar_fast`` with
-        polymorphic policy calls.
+        plans), and a cache that has seen no block (a run from there
+        misses cold exactly once per distinct block, so both loops
+        count their cold misses from the trace). They inline their
+        write policies' hooks and call no write-policy method, so each
+        runs under exact write-policy types only: the OPG loop under
+        ``WriteBackPolicy``, the write policy every OPG benchmark,
+        figure and example runs; the PA-LRU loop also under
+        ``WriteThroughPolicy``, which ``repro bench``'s ``campaign``
+        scenario runs it under. Anything else, either policy under any
+        other write policy included, takes the generic
+        ``_run_columnar_fast`` with polymorphic policy calls.
         """
-        if self.prefetcher is not None:
+        write_type = type(self.write_policy)
+        if (
+            self.prefetcher is not None
+            or write_type not in (WriteBackPolicy, WriteThroughPolicy)
+            or self.cache.stats._seen
+        ):
             return None
         policy = self.policy
         if (
@@ -555,7 +577,7 @@ class StorageSimulator:
         if (
             type(policy) is OPGPolicy
             and not policy._next_of
-            and type(self.write_policy) is WriteBackPolicy
+            and write_type is WriteBackPolicy
         ):
             return self._run_columnar_fast_opg
         return None
@@ -577,16 +599,25 @@ class StorageSimulator:
           epoch boundaries, so misses buffer their interval lengths and
           each boundary bins them with one vectorized histogram pass.
 
-        Everything else (LRU stacks, `_home` map, `_classes`) is the
-        policy's **live** state, mutated in place, so the generic
-        fallbacks (``_make_room`` with pinned blocks, write-policy
-        hooks) stay coherent mid-run. The classifier's other state
-        (Bloom words, per-disk miss counts and histograms, last miss
-        times, epoch clock) lives in the loop's locals and is not
-        handed back: a simulator is single-use, and a fused run is a
-        batch run, never a session, so nothing reads it afterwards.
-        Bit-identity with the scalar path is pinned by the fused-path
-        differential tests.
+        The loop inlines the hooks of the two write policies it runs
+        under (see :meth:`_fused_loop_for`). Under write-back a write
+        marks the state in hand dirty, and a dirty victim is submitted
+        directly, after the demand read on a read miss and before the
+        write's own update on a write miss; under write-through a write
+        goes to its disk at once. PA has no ``note_disk_activity``, and
+        neither policy pins a block, so every eviction is the inline
+        pop from the regular stack, else the priority one.
+
+        Each resident block's side rides its ``BlockState`` slot
+        (``pa_priority``) instead of the policy's ``_home`` map, and the
+        cold misses are the trace's distinct blocks, counted up front
+        instead of probing ``CacheStats._seen``. Nothing is handed back:
+        ``_home`` and ``_seen`` stay empty, and the classifier's other
+        state (Bloom words, per-disk miss counts and histograms, last
+        miss times, epoch clock) lives in the loop's locals; a simulator
+        is single-use, and a fused run is never a session. Bit-identity
+        with the scalar path is pinned by the fused-path differential
+        tests.
         """
         cache = self.cache
         policy: PowerAwarePolicy = self.policy
@@ -612,17 +643,16 @@ class StorageSimulator:
             cold_plan,
             kernels.epoch_roll_counts(trace.times, boundaries),
         )
+        n_total = len(trace)
+        n_write_total = int(trace.is_write.sum())
+        n_cold = _distinct_keys(trace.disks, trace.blocks)
 
         # -- live policy/classifier state (aliased, not copied) ----------
         classes = classifier._classes
         PRIORITY = DiskClass.PRIORITY
         REGULAR = DiskClass.REGULAR
-        reg_pol = policy._regular
-        pri_pol = policy._priority
-        reg_stack = reg_pol._stack
-        pri_stack = pri_pol._stack
-        home = policy._home
-        home_get = home.get
+        reg_stack = policy._regular._stack
+        pri_stack = policy._priority._stack
         miss_ct = [0] * num_disks
         cold_ct = [0] * num_disks
         buffers: list[list[float]] = [[] for _ in range(num_disks)]
@@ -662,29 +692,22 @@ class StorageSimulator:
         blocks = cache._blocks
         blocks_get = blocks.get
         blocks_pop = blocks.pop
-        stats = cache.stats
-        seen = stats._seen
-        make_room = cache._make_room
         capacity = cache.capacity
+        cap_limit = inf if capacity is None else capacity
         dirty_get = cache._dirty_by_disk.get
-        write_policy = self.write_policy
-        on_write = write_policy.on_write
-        on_evicted = write_policy.on_evicted
-        after_read_wake = (
-            None
-            if type(write_policy).after_read_wake
-            is WritePolicy.after_read_wake
-            else write_policy.after_read_wake
-        )
+        dirty_setdefault = cache._dirty_by_disk.setdefault
         quick = [d.submit_quick for d in self.array.disks]
         hit_latency = self.config.cache_hit_latency_s
         append_response = self._responses.append
         block_state = BlockState
-        disk_reads = 0
-        n_acc = n_read = n_write = 0
-        n_hit = n_miss = n_cold = 0
-        n_evict = n_dirty_evict = 0
+        write_through = type(self.write_policy) is WriteThroughPolicy
+        disk_reads = disk_writes = 0
+        n_miss = n_evict = n_dirty_evict = 0
         rolls_done = 0
+        # Residency count tracked as a local, as in the fused OPG loop:
+        # every eviction is followed by an insert, so only the inserts
+        # below capacity move it.
+        nblocks = len(blocks)
 
         time = 0.0
         for time, disk, block, is_write, cold_i, roll_i in rows:
@@ -692,40 +715,28 @@ class StorageSimulator:
                 reclassify()
                 rolls_done += 1
             key = (disk, block)
-            n_acc += 1
-            if is_write:
-                n_write += 1
-            else:
-                n_read += 1
             worst = hit_latency
+            vdirty = False
             state = blocks_get(key)
             if state is not None:
-                n_hit += 1
-                # PA.on_access(hit): classify, migrate-or-touch
+                # PA.on_access(hit): classify, then touch the block in
+                # its stack or migrate it to the other one's MRU end
                 if classes[disk] is PRIORITY:
-                    target = pri_pol
-                    tstack = pri_stack
+                    if state.pa_priority:
+                        pri_stack.move_to_end(key)
+                    else:
+                        del reg_stack[key]
+                        pri_stack[key] = None
+                        state.pa_priority = True
+                elif state.pa_priority:
+                    del pri_stack[key]
+                    reg_stack[key] = None
+                    state.pa_priority = False
                 else:
-                    target = reg_pol
-                    tstack = reg_stack
-                current = home_get(key)
-                if current is target:
-                    tstack.move_to_end(key)
-                else:
-                    (pri_stack if current is pri_pol else reg_stack).pop(
-                        key, None
-                    )
-                    tstack[key] = None
-                    home[key] = target
-                if is_write:
-                    latency = on_write(key, time)
-                    if latency > worst:
-                        worst = latency
+                    reg_stack.move_to_end(key)
+                bstate = state
             else:
                 n_miss += 1
-                if key not in seen:
-                    n_cold += 1
-                    seen.add(key)
                 # classifier.observe_miss with the precomputed verdict
                 miss_ct[disk] += 1
                 if cold_i:
@@ -735,64 +746,72 @@ class StorageSimulator:
                     gap = time - last
                     buffers[disk].append(gap if gap > 0.0 else 0.0)
                 last_d[disk] = time
-                if capacity is not None and len(blocks) >= capacity:
-                    if (
-                        cache._pinned == 0
-                        and len(blocks) == capacity
-                        and (reg_stack or pri_stack)
-                    ):
-                        # PA.evict inlined: drain regular first
-                        if reg_stack:
-                            victim = reg_stack.popitem(last=False)[0]
-                        else:
-                            victim = pri_stack.popitem(last=False)[0]
-                        del home[victim]
-                        vstate = blocks_pop(victim, None)
-                        if vstate is None:
-                            raise SimulationError(
-                                "policy evicted non-resident block "
-                                f"{victim}"
-                            )
-                        n_evict += 1
-                        if vstate.dirty:
-                            n_dirty_evict += 1
-                            bucket = dirty_get(victim[0])
-                            if bucket is not None:
-                                bucket.discard(victim)
-                        evicted = ((victim, vstate),)
+                if nblocks >= cap_limit:
+                    # PA.evict inlined: drain regular first
+                    if reg_stack:
+                        victim = reg_stack.popitem(last=False)[0]
+                    elif pri_stack:
+                        victim = pri_stack.popitem(last=False)[0]
                     else:
-                        evicted = make_room(time)
+                        raise PolicyError("PA: evict with no resident blocks")
+                    vstate = blocks_pop(victim)
+                    n_evict += 1
+                    if vstate.dirty:
+                        vdirty = True
+                        n_dirty_evict += 1
+                        bucket = dirty_get(victim[0])
+                        if bucket is not None:
+                            bucket.discard(victim)
                 else:
-                    evicted = ()
-                blocks[key] = block_state()
-                # PA.on_insert inlined (fresh key, not in _home)
+                    nblocks += 1
+                # PA.on_insert inlined (a fresh key), its side on its
+                # state
                 if classes[disk] is PRIORITY:
                     pri_stack[key] = None
-                    home[key] = pri_pol
+                    bstate = block_state(pa_priority=True)
                 else:
                     reg_stack[key] = None
-                    home[key] = reg_pol
-                if is_write:
-                    for victim, vstate in evicted:
-                        on_evicted(victim, vstate, time)
-                    latency = on_write(key, time)
-                    if latency > worst:
-                        worst = latency
-                else:
-                    latency, wake_delay = quick[disk](time, block, False)
-                    disk_reads += 1
-                    if latency > worst:
-                        worst = latency
-                    for victim, vstate in evicted:
-                        on_evicted(victim, vstate, time)
-                    if after_read_wake is not None:
-                        after_read_wake(disk, time, woke=wake_delay > 0)
+                    bstate = block_state()
+                blocks[key] = bstate
+            # -- write/read tails in the scalar engine's order: a write
+            # miss flushes its victim before its own update, a read
+            # miss after its demand read ---------------------------------
+            if is_write and write_through:
+                # WriteThroughPolicy.on_write: to disk now (so no block
+                # is ever dirty)
+                latency, _ = quick[disk](time, block, True)
+                disk_writes += 1
+                if latency > worst:
+                    worst = latency
+            elif is_write:
+                if vdirty:
+                    quick[victim[0]](time, victim[1], True)
+                    disk_writes += 1
+                # cache.mark_dirty(key) on the state in hand (write-back
+                # never logs a block)
+                if not bstate.dirty:
+                    bucket = dirty_get(disk)
+                    if bucket is None:
+                        dirty_setdefault(disk, set()).add(key)
+                    else:
+                        bucket.add(key)
+                    bstate.dirty = True
+            elif state is None:
+                latency, _ = quick[disk](time, block, False)
+                disk_reads += 1
+                if latency > worst:
+                    worst = latency
+                if vdirty:
+                    quick[victim[0]](time, victim[1], True)
+                    disk_writes += 1
             append_response(worst)
 
-        stats.accesses += n_acc
-        stats.read_accesses += n_read
-        stats.write_accesses += n_write
-        stats.hits += n_hit
+        self.write_policy.disk_writes += disk_writes
+        stats = cache.stats
+        stats.accesses += n_total
+        stats.read_accesses += n_total - n_write_total
+        stats.write_accesses += n_write_total
+        stats.hits += n_total - n_miss
         stats.misses += n_miss
         stats.cold_misses += n_cold
         stats.evictions += n_evict
@@ -848,7 +867,9 @@ class StorageSimulator:
         ``BlockState`` scratch slots (``opg_nt``/``opg_stamp``) so the
         hit path's residency probe is the only per-access dict lookup;
         the ``_stamp`` dict keeps only evicted blocks' stamps, and
-        ``_next_of`` stays empty. Nothing is handed back to the policy
+        ``_next_of`` stays empty. The cold misses are the distinct
+        blocks prepare counted (``_key_count``), so ``CacheStats._seen``
+        stays empty too. Nothing is handed back to the policy
         when the loop exits: a simulator is single-use, and an offline
         policy can be neither fed nor checkpointed, so no caller reads
         its per-block state after the run. Write-back never pins a
@@ -1186,7 +1207,6 @@ class StorageSimulator:
         blocks = cache._blocks
         blocks_get = blocks.get
         stats = cache.stats
-        seen = stats._seen
         capacity = cache.capacity
         cap_limit = inf if capacity is None else capacity
         dirty_get = cache._dirty_by_disk.get
@@ -1207,11 +1227,12 @@ class StorageSimulator:
         block_state = BlockState
         disk_reads = 0
         # Totals the loop would accumulate one by one fall out of the
-        # columns directly; only the cache-state-dependent counters
-        # (misses, cold misses, evictions) stay in the loop.
+        # columns directly, the cold misses too (one per distinct
+        # block, which prepare counted); only the cache-state-dependent
+        # counters (misses, evictions) stay in the loop.
         n_total = len(trace)
         n_write_total = int(trace.is_write.sum())
-        n_miss = n_cold = 0
+        n_miss = 0
         n_evict = n_dirty_evict = 0
         wb_writes = 0
 
@@ -1287,9 +1308,6 @@ class StorageSimulator:
                 vkey = None
             else:
                 n_miss += 1
-                if key not in seen:
-                    n_cold += 1
-                    seen.add(key)
                 # on_access(miss) performs no timeline split here:
                 # every miss lands on an already-known time — cold
                 # misses are seeded by prepare, and a repeat miss
@@ -1417,7 +1435,7 @@ class StorageSimulator:
         stats.write_accesses += n_write_total
         stats.hits += n_total - n_miss
         stats.misses += n_miss
-        stats.cold_misses += n_cold
+        stats.cold_misses += policy._key_count
         stats.evictions += n_evict
         stats.dirty_evictions += n_dirty_evict
         self._disk_reads += disk_reads

@@ -297,6 +297,26 @@ def test_next_access_arrays_match_scalar_slow(seed):
     _check_next_arrays(seed, n=4000)
 
 
+@pytest.mark.parametrize(
+    "disks, blocks",
+    [
+        # disk * (max_block + 1) + block maps (0, 5) and (1, -1) alike
+        ([0, 1, 0, 1, 1], [5, -1, 5, -1, 0]),
+        # ... and (0, 4) and (4, 0) alike once it wraps past int64
+        ([0, 4, 0, 4, 4, 0], [4, 0, 1 << 62, 0, 4, 4]),
+    ],
+)
+def test_next_access_arrays_keep_every_key_apart(disks, blocks):
+    times = [float(i) for i in range(len(disks))]
+    ref_pos, ref_time, ref_first = _scalar_next_arrays(disks, blocks, times)
+    next_pos, next_time, first_mask = kernels.next_access_arrays(
+        disks, blocks, times
+    )
+    assert next_pos.tolist() == ref_pos
+    assert next_time.tolist() == ref_time
+    assert first_mask.tolist() == ref_first
+
+
 def test_next_access_arrays_empty():
     next_pos, next_time, first_mask = kernels.next_access_arrays([], [], [])
     assert len(next_pos) == len(next_time) == len(first_mask) == 0

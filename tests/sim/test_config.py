@@ -29,6 +29,13 @@ class TestSimulationConfig:
             SimulationConfig(
                 num_disks=1, cache_capacity_blocks=1, trace_tail_s=-1.0
             )
+        for latency in (-1e-4, float("nan")):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(
+                    num_disks=1,
+                    cache_capacity_blocks=1,
+                    cache_hit_latency_s=latency,
+                )
 
     @pytest.mark.parametrize(
         "kind,cls",

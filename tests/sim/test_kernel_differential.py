@@ -17,11 +17,12 @@ behind ``-m slow``.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cache.write.write_back import WriteBackPolicy
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import StorageSimulator
+from repro.sim.engine import StorageSimulator, _distinct_keys
 from repro.sim.runner import build_policy, build_write_policy, run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
@@ -36,12 +37,17 @@ SLOW_SEEDS = tuple(range(100, 116))
 
 POLICIES = {
     "pa-lru": {"policy": "pa-lru", "pa_epoch_s": 60.0},
+    "pa-lru-wt": {
+        "policy": "pa-lru", "pa_epoch_s": 60.0, "write_policy": "write-through"
+    },
     "opg": {"policy": "opg", "theta": 0.0},
     "opg-theta": {"policy": "opg", "theta": 0.05},
 }
 
 
-def _serialized(trace, *, num_disks, cache_blocks=128, **kwargs):
+def _serialized(
+    trace, *, num_disks, cache_blocks=128, write_policy="write-back", **kwargs
+):
     policy = kwargs.pop("policy")
     result = run_simulation(
         trace,
@@ -49,7 +55,7 @@ def _serialized(trace, *, num_disks, cache_blocks=128, **kwargs):
         num_disks=num_disks,
         cache_blocks=cache_blocks,
         dpm="practical",
-        write_policy="write-back",
+        write_policy=write_policy,
         **kwargs,
     )
     return json.dumps(result.to_dict(), sort_keys=True)
@@ -149,6 +155,25 @@ def test_epoch_boundary_exactly_on_request_timestamp():
     _assert_handmade(reqs, num_disks=2, pa_epoch_s=30.0, cache_blocks=4)
 
 
+def test_block_ids_past_2_62_on_two_disks():
+    # Fused as disk * (max_block + 1) + block, disk 4's block 0 and
+    # disk 0's block 4 wrap to one int64 once a block id reaches 2**62;
+    # both fused loops must still count every (disk, block) once. The
+    # big blocks are only written back, from a cache that holds every
+    # block, so none reaches a disk: the disks end far below them.
+    big = 1 << 62
+    keys = [(0, 4), (4, 0), (0, big), (4, big), (4, 0), (0, 4),
+            (4, big), (0, 0), (4, 4), (0, big)]
+    reqs = [
+        IORequest(time=float(i), disk=disk, block=block, is_write=block >= big)
+        for i, (disk, block) in enumerate(keys)
+    ]
+    _assert_handmade(
+        reqs, num_disks=5, cache_blocks=16, pa_epoch_s=4.0,
+        write_policy="write-back",
+    )
+
+
 def test_duplicate_timestamps_across_disks():
     # Coincident accesses everywhere: zero-length intervals in the
     # histograms and coincident timeline hits in OPG's penalty path.
@@ -200,28 +225,72 @@ def test_an_opg_run_expands_its_trace_once(monkeypatch):
 
 
 class _WriteBackSubclass(WriteBackPolicy):
-    """Overrides nothing, yet could: the fused OPG loop must not run."""
+    """Overrides nothing, yet could: no fused loop may run."""
 
 
-@pytest.mark.parametrize(
-    "write_policy",
-    ["write-back", "write-through", "wbeu", "periodic-flush", "wtdu", "sub"],
-)
-def test_the_fused_opg_loop_runs_under_write_back_only(write_policy):
+WRITE_POLICIES = [
+    "write-back", "write-through", "wbeu", "periodic-flush", "wtdu", "sub"
+]
+
+
+def _simulator(policy, write_policy="write-back"):
     config = SimulationConfig(num_disks=3, cache_capacity_blocks=64)
-    simulator = StorageSimulator(
+    return StorageSimulator(
         _cdn(21, num_disks=3),
         config,
-        build_policy("opg", config),
+        build_policy(policy, config),
         _WriteBackSubclass()
         if write_policy == "sub"
         else build_write_policy(write_policy, num_disks=3),
     )
+
+
+@pytest.mark.parametrize("write_policy", WRITE_POLICIES)
+def test_the_fused_opg_loop_runs_under_write_back_only(write_policy):
+    simulator = _simulator("opg", write_policy)
     loop = simulator._fused_loop_for()
     if write_policy == "write-back":
         assert loop == simulator._run_columnar_fast_opg
     else:
         assert loop is None
+
+
+@pytest.mark.parametrize("write_policy", WRITE_POLICIES)
+def test_the_fused_pa_loop_runs_under_write_back_and_write_through(
+    write_policy,
+):
+    simulator = _simulator("pa-lru", write_policy)
+    loop = simulator._fused_loop_for()
+    if write_policy in ("write-back", "write-through"):
+        assert loop == simulator._run_columnar_fast_pa
+    else:
+        assert loop is None
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [7, 3, 7, 10_000, 3, 0],
+        [-5, 3, -5, 7, 3, -5],  # offset by the minimum, not by zero
+        [0, 1 << 62, 1, 1 << 62, 0, 5],  # past int64: compared as rows
+    ],
+)
+def test_distinct_keys_counts_every_key_once(blocks):
+    disks = np.array([0, 0, 1, 1, 0, 2])
+    blocks = np.array(blocks, dtype=np.int64)
+    expected = len(set(zip(disks.tolist(), blocks.tolist())))
+    assert _distinct_keys(disks, blocks) == expected
+    assert _distinct_keys(disks[:0], blocks[:0]) == 0
+
+
+@pytest.mark.parametrize("policy", ["pa-lru", "opg"])
+def test_no_fused_loop_once_the_cache_has_seen_a_block(policy):
+    """The fused loops count cold misses as the trace's distinct
+    blocks, which is exact only from a cache that has seen none."""
+    simulator = _simulator(policy)
+    assert simulator._fused_loop_for() is not None
+    simulator.cache.stats._seen.add((0, 1))
+    assert simulator._fused_loop_for() is None
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
