@@ -30,13 +30,17 @@ class BlockState:
     #: per-block policy state on the state object the hit path already
     #: holds instead of in the policy's dicts. The fused OPG loop keeps
     #: the block's next-access time and lazy-heap stamp here (the
-    #: scalar path's ``OPGPolicy._next_of`` / ``_stamp``); the fused
-    #: PA-LRU loop keeps the block's side, ``True`` when it sits in the
-    #: priority stack (the scalar path's ``PowerAwarePolicy._home``).
-    #: Nothing copies them back into the policy: nothing reads an OPG
-    #: or PA policy after a run. Meaningless outside those loops.
+    #: scalar path's ``OPGPolicy._next_of`` / ``_stamp``), and the
+    #: block's dense key id (``OPGPolicy._key_id_array``), under which
+    #: an eviction files the stamp in the loop's list of evicted
+    #: blocks' stamps; the fused PA-LRU loop keeps the block's side,
+    #: ``True`` when it sits in the priority stack (the scalar path's
+    #: ``PowerAwarePolicy._home``). Nothing copies them back into the
+    #: policy: nothing reads an OPG or PA policy after a run.
+    #: Meaningless outside those loops.
     opg_nt: float = 0.0
     opg_stamp: int = 0
+    opg_key_id: int = 0
     pa_priority: bool = False
 
     @property

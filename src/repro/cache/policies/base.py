@@ -27,6 +27,17 @@ from typing import Iterable
 from repro.cache.block import BlockKey
 from repro.errors import PolicyError
 
+#: Stale entries an offline policy's lazy heap (Belady's, OPG's, the
+#: fused OPG loop's) tolerates beyond its live ones: once it holds more
+#: than ``2 * live + HEAP_SLACK`` entries it is rebuilt from the live
+#: ones, so it stays within about twice the resident blocks at
+#: amortized O(1) cost per push, and tiny caches do not rebuild on
+#: every push. A live entry is the one a resident block pushed last;
+#: the others are skipped when popped, so dropping them early cannot
+#: change which block is evicted. LIRS's ghost heap keeps the same rule
+#: with its own slack.
+HEAP_SLACK = 64
+
 
 class ReplacementPolicy(ABC):
     """Strategy interface for cache replacement."""
@@ -109,17 +120,20 @@ class OfflinePolicy(ReplacementPolicy):
         ``(accesses, starts)`` pair ``block_accesses`` gave, so a run
         hands the same expansion to its fused loop.
 
-        A prepared policy keeps one of the kernel's arrays: by default
-        the next-access times (``_next_time_array``, float64), which
-        the fused OPG loop boxes one chunk at a time; Belady keeps the
-        next-access positions instead (``_next_pos_array``). No list is
+        A prepared policy keeps one of the kernel's arrays of future
+        knowledge: by default the next-access times
+        (``_next_time_array``, float64), which the fused OPG loop boxes
+        one chunk at a time; Belady keeps the next-access positions
+        instead (``_next_pos_array``). OPG also keeps the kernel's
+        dense key ids (``_key_id_array``), which index the fused loop's
+        list of evicted blocks' stamps. No list is
         built here: ``_keys``, ``_next_pos`` and ``_next_time`` are
         built on first attribute access via ``__getattr__`` — the fused
         engine loops never read them, and at a million accesses each
         deferred ``tolist`` saves hundreds of milliseconds of boxing
         and tens of MiB of Python objects.
         """
-        expanded, _, next_time, _ = self._prepare_arrays(trace)
+        expanded, _, next_time, _, _ = self._prepare_arrays(trace)
         self._next_time_array = next_time
         return expanded
 
@@ -127,8 +141,8 @@ class OfflinePolicy(ReplacementPolicy):
         """The part every ``prepare_columnar`` shares: expand the
         trace, reset the cursor and the lazy lists, and run the
         next-access kernel. Returns ``(expanded, next_pos, next_time,
-        first_mask)``; the caller keeps what its policy reads, and the
-        rest is freed when its prepare returns."""
+        first_mask, key_ids)``; the caller keeps what its policy reads,
+        and the rest is freed when its prepare returns."""
         from repro.core import kernels
 
         expanded = trace.block_accesses()

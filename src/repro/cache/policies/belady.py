@@ -7,6 +7,9 @@ misses — but, as the paper's Section 3 shows, *not* disk energy.
 Implementation: the prepared access sequence gives each access's
 ``next_pos`` (index of the same block's next occurrence). A max-heap of
 ``(-next_pos, key)`` with lazy invalidation yields O(log n) evictions.
+A block's next positions only grow, so an entry that went stale stays
+stale, and the heap is rebuilt from its live entries once stale ones
+outnumber live ones plus :data:`~repro.cache.policies.base.HEAP_SLACK`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import heapq
 
 from repro.cache.block import BlockKey
-from repro.cache.policies.base import OfflinePolicy
+from repro.cache.policies.base import HEAP_SLACK, OfflinePolicy
 from repro.errors import PolicyError
 
 
@@ -38,7 +41,7 @@ class BeladyPolicy(OfflinePolicy):
         position in the access sequence, where times tie (one
         request's blocks share a time). Returns the base's
         ``(accesses, starts)``."""
-        expanded, next_pos, _, _ = self._prepare_arrays(trace)
+        expanded, next_pos, _, _, _ = self._prepare_arrays(trace)
         self._next_pos_array = next_pos
         return expanded
 
@@ -57,8 +60,13 @@ class BeladyPolicy(OfflinePolicy):
         self._update(key, self._next_pos[i])
 
     def _update(self, key: BlockKey, next_pos: int) -> None:
-        self._next_of[key] = next_pos
-        heapq.heappush(self._heap, (-next_pos, key))
+        next_of = self._next_of
+        next_of[key] = next_pos
+        heap = self._heap
+        heapq.heappush(heap, (-next_pos, key))
+        if len(heap) > 2 * len(next_of) + HEAP_SLACK:
+            heap[:] = [e for e in heap if next_of.get(e[1]) == -e[0]]
+            heapq.heapify(heap)
 
     def evict(self, time: float) -> BlockKey:
         while self._heap:

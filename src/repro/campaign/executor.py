@@ -70,7 +70,11 @@ SERIAL_FALLBACK_DEATHS = 3
 
 #: Times one point may take its worker down before it is settled as
 #: failed rather than requeued (a point that reliably kills workers
-#: would otherwise starve the pool).
+#: would otherwise starve the pool). Charged only once some point has
+#: completed cleanly in a worker: until then every death may be the
+#: environment's, and the pool falls back to serial after
+#: :data:`SERIAL_FALLBACK_DEATHS` of them, whichever order they are
+#: read in.
 MAX_DEATHS_PER_TASK = 2
 
 
@@ -445,7 +449,12 @@ def _run_parallel(
     backoff). When :data:`SERIAL_FALLBACK_DEATHS` workers die in a row
     without a single clean reply, the pool is abandoned — everything
     still unfinished runs serially in the parent, where a death would
-    at least be *our* crash and therefore debuggable.
+    at least be *our* crash and therefore debuggable. A point is
+    settled failed for its deaths only once some worker has replied
+    cleanly: before that, a point whose respawned worker dies before
+    another worker's death is read would otherwise be settled at its
+    second death while the pool-wide streak never reached the
+    fallback.
     """
     ctx = multiprocessing.get_context()
     pool_size = min(workers, len(pending))
@@ -461,6 +470,7 @@ def _run_parallel(
     inflight: dict[int, _Attempt] = {}  # worker id -> attempt
     failures: list[PointOutcome] = []
     consecutive_deaths = 0
+    replied = False  # has any worker replied cleanly yet?
     fallback: list[tuple[PointTask, int]] | None = None
 
     def respawn(worker: _Worker) -> _Worker:
@@ -568,7 +578,9 @@ def _run_parallel(
                     if consecutive_deaths >= SERIAL_FALLBACK_DEATHS:
                         # The whole environment is killing workers, not
                         # this point: rescue everything unfinished (this
-                        # point included) for the serial pass.
+                        # point included) for the serial pass; the
+                        # workers still in flight are killed on the
+                        # way out, not waited for.
                         worker.kill()
                         fallback = sorted(
                             [(t, tr) for t, tr, _, _ in queue]
@@ -580,9 +592,8 @@ def _run_parallel(
                             key=lambda item: item[0].index,
                         )
                         queue.clear()
-                        inflight.clear()
                         continue
-                    if deaths >= MAX_DEATHS_PER_TASK:
+                    if replied and deaths >= MAX_DEATHS_PER_TASK:
                         settle(
                             PointOutcome(
                                 task=attempt.task,
@@ -608,6 +619,7 @@ def _run_parallel(
                 del inflight[worker.id]
                 idle.append(worker)
                 consecutive_deaths = 0
+                replied = True
                 if status == "ok":
                     settle(
                         PointOutcome(

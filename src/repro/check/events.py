@@ -108,10 +108,18 @@ class EventCoverageChecker(Checker):
     def _check_coverage(
         self, module: ModuleInfo, project: Project, events: set[str]
     ) -> Iterator[Finding]:
+        # reported at the definition site only, so the whole-project
+        # walk for construction sites runs only for a module that
+        # defines event classes, not once per module
+        defined = [
+            info
+            for info in project.subclasses_of(EVENT_BASE)
+            if info.module is module
+        ]
+        if not defined:
+            return
         sites = _constructions(project)
-        for info in project.subclasses_of(EVENT_BASE):
-            if info.module is not module:
-                continue  # report at the definition site only
+        for info in defined:
             if info.name not in sites:
                 yield self.finding(
                     module,

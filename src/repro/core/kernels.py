@@ -300,10 +300,13 @@ def next_access_arrays(disks, blocks, times):
     each group *is* the next access.
 
     Returns:
-        ``(next_pos, next_time, first_mask)`` — position of the next
-        access to the same key (``n`` when never again), its time
-        (``inf`` when never again), and whether each position is the
-        key's first occurrence.
+        ``(next_pos, next_time, first_mask, key_ids)`` — position of
+        the next access to the same key (``n`` when never again), its
+        time (``inf`` when never again), whether each position is the
+        key's first occurrence, and each access's dense key id: the
+        rank of its key among the distinct keys in ``(disk, block)``
+        order, so ids run from 0 to the distinct-key count less one
+        and equal ids mean equal keys.
     """
     disks = np.asarray(disks)
     blocks = np.asarray(blocks)
@@ -312,8 +315,9 @@ def next_access_arrays(disks, blocks, times):
     next_pos = np.full(n, n, dtype=np.int64)
     next_time = np.full(n, np.inf, dtype=np.float64)
     first_mask = np.ones(n, dtype=bool)
+    key_ids = np.empty(n, dtype=np.int64)
     if n == 0:
-        return next_pos, next_time, first_mask
+        return next_pos, next_time, first_mask, key_ids
     # Stable sort on one exact fused (disk, block) key (access_keys)
     # instead of a two-pass lexsort: one sort pass instead of two, and
     # the group-boundary test collapses to a single comparison.
@@ -326,7 +330,11 @@ def next_access_arrays(disks, blocks, times):
     next_pos[predecessors] = successors
     next_time[predecessors] = times[successors]
     first_mask[successors] = False
-    return next_pos, next_time, first_mask
+    # each sorted key's group number, scattered back to trace order
+    ranks = np.zeros(n, dtype=np.int64)
+    np.cumsum(~same, out=ranks[1:])
+    key_ids[order] = ranks
+    return next_pos, next_time, first_mask, key_ids
 
 
 @batch_kernel

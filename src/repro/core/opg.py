@@ -25,7 +25,10 @@ Complexity: each timeline insertion re-evaluates only the blocks whose
 next access falls inside the split gap; a lazy min-heap (entries are
 stamped, stale ones discarded on pop) yields the victim. Penalties only
 *decrease* when a gap is split (E is concave), so a stale heap entry is
-never smaller than the fresh one — min-extraction stays exact.
+never smaller than the fresh one — min-extraction stays exact. A
+block's stamps only grow, so a stale entry never becomes live again,
+and the heap is rebuilt from its live entries once stale ones
+outnumber live ones plus :data:`~repro.cache.policies.base.HEAP_SLACK`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from typing import Callable
 
 from repro.cache.block import BlockKey
-from repro.cache.policies.base import OfflinePolicy
+from repro.cache.policies.base import HEAP_SLACK, OfflinePolicy
 from repro.core.chunked import ChunkedSortedList
 from repro.core.deterministic import DiskTimeline
 from repro.errors import PolicyError
@@ -99,19 +102,24 @@ class OPGPolicy(OfflinePolicy):
 
     def prepare_columnar(self, trace):
         """The base preparation (next-access arrays, of which OPG keeps
-        the times), then the deterministic-miss seeding: every cold
-        miss is a known disk access (the first access to each block
-        misses under any policy), so each disk's timeline is
-        bulk-loaded from its sorted unique first-access times
-        (:func:`repro.core.kernels.first_times_by_disk`,
+        the times and the dense key ids), then the deterministic-miss
+        seeding: every cold miss is a known disk access (the first
+        access to each block misses under any policy), so each disk's
+        timeline is bulk-loaded from its sorted unique first-access
+        times (:func:`repro.core.kernels.first_times_by_disk`,
         :meth:`DiskTimeline.from_sorted`). Also keeps how many
         distinct blocks the accesses touch (``_key_count``), which the
-        fused loop reports as its cold misses. Returns the base's
+        fused loop reports as its cold misses; the fused loop keeps
+        evicted blocks' stamps in a list of that length, indexed by
+        each access's key id (``_key_id_array``). Returns the base's
         ``(accesses, starts)``."""
         from repro.core import kernels
 
-        expanded, _, next_time, first_mask = self._prepare_arrays(trace)
+        expanded, _, next_time, first_mask, key_ids = self._prepare_arrays(
+            trace
+        )
         self._next_time_array = next_time
+        self._key_id_array = key_ids
         self._key_count = int(first_mask.sum())
         accesses = expanded[0]
         end = float(trace.times[-1]) if len(trace) else self._start_time
@@ -154,13 +162,25 @@ class OPGPolicy(OfflinePolicy):
         return max(0.0, e(lead) + e(follow) - e(lead + follow))
 
     def _push(self, key: BlockKey) -> None:
-        """(Re)compute a block's penalty and push a fresh heap entry."""
+        """(Re)compute a block's penalty and push a fresh heap entry;
+        rebuild the heap from its live entries once stale ones
+        outnumber them plus ``HEAP_SLACK``."""
         disk, block = key
-        nt = self._next_of[key]
-        stamp = self._stamp.get(key, 0) + 1
-        self._stamp[key] = stamp
+        next_of = self._next_of
+        stamps = self._stamp
+        nt = next_of[key]
+        stamp = stamps.get(key, 0) + 1
+        stamps[key] = stamp
         penalty = max(self._penalty(disk, nt), self.theta)
-        heapq.heappush(self._heap, (penalty, -nt, stamp, disk, block))
+        heap = self._heap
+        heapq.heappush(heap, (penalty, -nt, stamp, disk, block))
+        if len(heap) > 2 * len(next_of) + HEAP_SLACK:
+            heap[:] = [
+                e
+                for e in heap
+                if (e[3], e[4]) in next_of and stamps[e[3], e[4]] == e[2]
+            ]
+            heapq.heapify(heap)
 
     def _split_gap(self, disk: int, time: float) -> None:
         """A new known access at ``time``: re-evaluate blocks in the gap."""

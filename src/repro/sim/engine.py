@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_left, bisect_right, insort
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import inf
 from typing import Sequence
@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.cache.block import BlockState
 from repro.cache.cache import StorageCache
-from repro.cache.policies.base import OfflinePolicy, ReplacementPolicy
+from repro.cache.policies.base import (
+    HEAP_SLACK,
+    OfflinePolicy,
+    ReplacementPolicy,
+)
 from repro.cache.policies.lru import LRUPolicy
 from repro.cache.write.base import WritePolicy
 from repro.cache.write.write_back import WriteBackPolicy
@@ -57,7 +61,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.results import DiskReport, ResponseStats, SimulationResult
 from repro.snapshot import load_state, pack_floats, state_of, unpack_floats
 from repro.traces import columnar
-from repro.traces.columnar import ColumnarTrace, iter_chunks, iter_rows
+from repro.traces.columnar import ColumnarTrace, iter_chunks
 from repro.traces.record import IORequest
 
 #: Fast-path audit registry, enforced statically by ``repro check``'s
@@ -132,6 +136,27 @@ def _distinct_keys(disks: np.ndarray, blocks: np.ndarray) -> int:
     keys = kernels.access_keys(disks, blocks)
     keys.sort()
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+
+
+def _disk_out_of_array(row: int, disk: int, num_disks: int) -> str:
+    return f"trace row {row}: disk {disk} is not in the {num_disks}-disk array"
+
+
+def _first_bad_row(trace: ColumnarTrace, num_disks: int) -> str | None:
+    """Why the first row the ``IORequest`` constructor would reject, or
+    whose disk is not in the array, cannot run; ``None`` when every row
+    can. One vectorized pass over the id columns."""
+    disks, blocks, counts = trace.disks, trace.blocks, trace.nblocks
+    bad = (disks < 0) | (disks >= num_disks) | (blocks < 0) | (counts < 1)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    disk, block, count = int(disks[row]), int(blocks[row]), int(counts[row])
+    if not 0 <= disk < num_disks:
+        return _disk_out_of_array(row, disk, num_disks)
+    if block < 0:
+        return f"trace row {row}: block must be >= 0, got {block}"
+    return f"trace row {row}: nblocks must be >= 1, got {count}"
 
 
 class StorageSimulator:
@@ -220,6 +245,9 @@ class StorageSimulator:
         if classifier is not None:
             classifier.probe = probe
         self._responses: list[float] = []
+        # a batch run's samples, folded into float64 once per chunk
+        # (_fold_responses); sessions keep theirs in _responses
+        self._response_chunks: list[np.ndarray] = []
         self._disk_reads = 0
         self._ran = False
 
@@ -261,15 +289,20 @@ class StorageSimulator:
         self._ran = True
         trace = self.trace
         columnar = isinstance(trace, ColumnarTrace)
+        num_disks = self.config.num_disks
         if columnar:
             # Checked up front whichever loop runs, so a disordered
-            # trace fails before any request is simulated.
+            # trace, or a row the IORequest constructor or the disk
+            # array would reject, fails before any request is simulated.
             bad = trace.first_disorder()
             if bad is not None:
                 raise TraceError(
                     f"trace not time-ordered at t={float(trace.times[bad])} "
                     f"(< {float(trace.times[bad - 1])})"
                 )
+            problem = _first_bad_row(trace, num_disks)
+            if problem is not None:
+                raise TraceError(problem)
         if columnar and self.probe is None:
             last_time = self._run_columnar()
         else:
@@ -289,11 +322,15 @@ class StorageSimulator:
             previous_time = -1.0
             last_time = 0.0
             handle_request = self.handle_request
-            for req in trace:
+            for row, req in enumerate(trace):
                 if req.time < previous_time:
                     raise TraceError(
                         f"trace not time-ordered at t={req.time} "
                         f"(< {previous_time})"
+                    )
+                if req.disk >= num_disks:
+                    raise TraceError(
+                        _disk_out_of_array(row, req.disk, num_disks)
                     )
                 previous_time = last_time = req.time
                 handle_request(req)
@@ -318,13 +355,20 @@ class StorageSimulator:
 
         Every loop boxes one chunk of rows into Python objects at a
         time (:data:`~repro.traces.columnar.CHUNK_ROWS` of them, see
-        :meth:`_access_rows`), so a run holds one chunk of boxed rows
-        and its plan slices, not the whole trace.
+        :meth:`_access_rows`) and folds the chunk's response samples
+        into a float64 array once it ran (:meth:`_fold_responses`), so
+        a run holds one chunk of boxed rows, its plan slices and its
+        samples, not the whole trace's. No loop keeps
+        ``CacheStats._seen`` when the run starts from a cache that has
+        seen no block and admits no prefetched one: every distinct
+        block then misses cold exactly once, so the cold misses are
+        the trace's distinct blocks, counted up front.
         """
         expanded = self.prepare_offline()
         trace: ColumnarTrace = self.trace
         if len(trace) == 0:
             return 0.0
+        self._fold_responses()  # each chunk's fold starts from []
         # The hot loops allocate tracked objects (heap tuples, res
         # items, block states) by the million while holding large live
         # container graphs, so generational GC rescans cost 10-15% of
@@ -338,13 +382,24 @@ class StorageSimulator:
             fused = self._fused_loop_for()
             if fused is not None:
                 return fused(*(expanded or trace.block_accesses()))
+            stats = self.cache.stats
+            count_up_front = self.prefetcher is None and not stats._seen
+            if count_up_front:
+                accesses = (expanded or trace.block_accesses())[0]
+                stats.cold_misses += _distinct_keys(
+                    accesses.disks, accesses.blocks
+                )
+                del accesses
             del expanded  # released: the generic loop never reads it
             # the generic loop is re-entrant: once per chunk, as
             # handle_batch runs it once per fed batch
             last_time = 0.0
             for chunk in iter_chunks(trace.columns()):
-                last_time = self._run_columnar_fast(*chunk)
+                last_time = self._run_columnar_fast(
+                    *chunk, not count_up_front
+                )
                 del chunk  # unboxed before the next chunk is boxed
+                self._fold_responses()
             return last_time
         finally:
             if was_enabled:
@@ -358,21 +413,25 @@ class StorageSimulator:
         value. For a single-block trace (``None``) every access is a
         request, and chunks are ``CHUNK_ROWS`` rows. On a multi-block
         trace each chunk ends on a request boundary (at the first
-        request starting at or past each multiple of ``CHUNK_ROWS``),
-        and the responses the loop appended for a chunk, one per
-        access, fold into one per request (the slowest block's,
-        ``np.maximum.reduceat``) when the loop asks for the next
-        chunk's first row: after the chunk's last row ran, before the
-        next chunk is boxed. So neither boxed rows nor per-access
-        responses pile up over the trace.
+        request starting at or past each multiple of ``CHUNK_ROWS``).
+        The responses the loop appended for a chunk fold into one
+        float64 array (on a multi-block trace, one per request: the
+        slowest block's, ``np.maximum.reduceat``) when the loop asks
+        for the next chunk's first row: after the chunk's last row
+        ran, before the next chunk is boxed. So neither boxed rows nor
+        boxed responses pile up over the trace.
         """
-        if starts is None:
-            return iter_rows(columns)
         return chain.from_iterable(self._folding_chunks(starts, columns))
 
     def _folding_chunks(self, starts, columns):
-        """One row ``zip`` per request-aligned chunk; folds each
-        chunk's responses when resumed (see :meth:`_access_rows`)."""
+        """One row ``zip`` per chunk; folds each chunk's responses when
+        resumed (see :meth:`_access_rows`)."""
+        if starts is None:
+            for chunk in iter_chunks(columns):
+                yield zip(*chunk)
+                del chunk  # unboxed before the next chunk is boxed
+                self._fold_responses()
+            return
         n = len(columns[0])
         step = columnar.CHUNK_ROWS
         # chunk ends as request indices, then as access rows
@@ -385,18 +444,36 @@ class StorageSimulator:
         bounds = np.append(starts, n)
         chunks = iter_chunks(columns, bounds[request_ends].tolist())
         responses = self._responses
+        fold = self._response_chunks.append
         lo = 0
         for hi in request_ends:
-            first = len(responses)
             yield zip(*next(chunks))
-            slowest = np.maximum.reduceat(
-                np.array(responses[first:]), starts[lo:hi] - bounds[lo]
+            fold(
+                np.maximum.reduceat(
+                    np.array(responses, dtype=np.float64),
+                    starts[lo:hi] - bounds[lo],
+                )
             )
-            del responses[first:]
-            responses.extend(slowest.tolist())
+            responses.clear()
             lo = hi
 
-    def _run_columnar_fast(self, times, disks, blocks_col, counts, writes):
+    def _fold_responses(self) -> None:
+        """Move the response samples appended since the last fold into
+        one float64 array of ``_response_chunks``: 8 bytes a sample
+        instead of a boxed float and its list slot. Values and order
+        are kept, so the report's mean and percentiles do not change.
+        Batch runs only; a session keeps its samples in
+        ``_responses``."""
+        responses = self._responses
+        if responses:
+            self._response_chunks.append(
+                np.array(responses, dtype=np.float64)
+            )
+            responses.clear()
+
+    def _run_columnar_fast(
+        self, times, disks, blocks_col, counts, writes, probe_seen=True
+    ):
         """Probe-free columnar loop with the cache access path inlined.
 
         Only runs when no event hook is attached (probe-attached runs
@@ -409,6 +486,10 @@ class StorageSimulator:
         folded into ``CacheStats`` once at the end (integer addition
         commutes, and nothing reads the counters mid-run). The
         columnar/reference equivalence tests pin the results bit for bit.
+
+        With ``probe_seen`` false a miss skips the ``CacheStats._seen``
+        probe and counts no cold miss: :meth:`_run_columnar` passes it
+        when it counted the trace's cold misses up front.
         """
         cache = self.cache
         policy = self.policy
@@ -471,7 +552,7 @@ class StorageSimulator:
                             worst = latency
                 else:
                     n_miss += 1
-                    if key not in seen:
+                    if probe_seen and key not in seen:
                         n_cold += 1
                         seen.add(key)
                     on_access(key, time, False)
@@ -865,9 +946,14 @@ class StorageSimulator:
         The heap, ``_res`` lists and timelines are the policy's live
         objects; per-block next-time and stamp ride the cache's
         ``BlockState`` scratch slots (``opg_nt``/``opg_stamp``) so the
-        hit path's residency probe is the only per-access dict lookup;
-        the ``_stamp`` dict keeps only evicted blocks' stamps, and
-        ``_next_of`` stays empty. The cold misses are the distinct
+        hit path's residency probe is the only per-access dict lookup.
+        Evicted blocks' stamps go to a list indexed by each access's
+        dense key id (``_key_id_array``, riding the rows and the
+        resident block's ``opg_key_id``), so ``_stamp`` and
+        ``_next_of`` stay empty. The heap is rebuilt from its live
+        entries, one per resident block, once it holds more than
+        ``2 * resident + HEAP_SLACK`` (``compact``), so it follows
+        the cache, not the trace. The cold misses are the distinct
         blocks prepare counted (``_key_count``), so ``CacheStats._seen``
         stays empty too. Nothing is handed back to the policy
         when the loop exits: a simulator is single-use, and an offline
@@ -933,8 +1019,10 @@ class StorageSimulator:
                 bN = inf
                 prefN = curN = powN = spinN = 0.0
                 modeN = False
-        stamps = policy._stamp
-        stamps_get = stamps.get
+        # Evicted blocks' stamps, by dense key id: a re-inserted block
+        # resumes its stamp sequence from here (resident blocks carry
+        # theirs on their state).
+        stamps = [0] * policy._key_count
         heap = policy._heap
         # Every timeline shares the run's start/end and is pre-seeded
         # for each disk the trace touches (prepare_columnar),
@@ -1119,6 +1207,20 @@ class StorageSimulator:
                 pen = theta
             heappush(heap, (pen, -nt, stamp, disk, block))
 
+        def compact() -> None:
+            # Rebuild the lazy heap from its live entries, one per
+            # resident block: the entry whose stamp is the block's
+            # current one (HEAP_SLACK). Stamps only grow, so a stale
+            # entry never becomes live again, and live entries are
+            # distinct, so the pop order of live entries is the same.
+            live = []
+            for entry in heap:
+                resident = blocks_get((entry[3], entry[4]))
+                if resident is not None and resident.opg_stamp == entry[2]:
+                    live.append(entry)
+            heap[:] = live
+            heapify(heap)
+
         def split_gap(disk: int, at: float) -> None:
             # _split_gap with ChunkedSortedList.insert_unique and the
             # exclusive res irange inlined: one fused locate+insert on
@@ -1240,17 +1342,20 @@ class StorageSimulator:
         # mutator of cache membership while the fused loop runs (write
         # policies flush/mark but never insert or remove), and every
         # eviction is immediately followed by an insert, so only the
-        # below-capacity warmup inserts move it.
+        # below-capacity warmup inserts move it. The heap holds one
+        # live entry per resident block, so its limit moves with it.
         nblocks = len(blocks)
+        heap_limit = 2 * nblocks + HEAP_SLACK
 
         time = 0.0
-        for time, disk, block, is_write, nt_new in self._access_rows(
+        for time, disk, block, is_write, nt_new, kid in self._access_rows(
             starts,
             trace.times,
             trace.disks,
             trace.blocks,
             trace.is_write,
             policy._next_time_array,
+            policy._key_id_array,
         ):
             key = (disk, block)
             worst = hit_latency
@@ -1337,9 +1442,9 @@ class StorageSimulator:
                         # whose walk drops it (now stale) in place
                         # — the untrack stamp bump outlives the
                         # eviction (a re-insert continues the
-                        # sequence), so it goes to the dict, not
-                        # the dying state
-                        stamps[vkey] = st + 1
+                        # sequence), so it goes to the stamp list,
+                        # not the dying state
+                        stamps[vstate.opg_key_id] = st + 1
                         if nt_v != inf:
                             split_gap(vd, nt_v)
                         break
@@ -1356,11 +1461,12 @@ class StorageSimulator:
                             bucket.discard(vkey)
                 else:
                     nblocks += 1
+                    heap_limit += 2
                 # on_insert inlined (the res add follows the
                 # branch): a re-inserted block resumes its stamp
-                # sequence from the dict entry its last eviction
-                # left behind.
-                st = stamps_get(key, 0) + 1
+                # sequence from the entry its last eviction left in
+                # the stamp list.
+                st = stamps[kid] + 1
                 if vkey is not None:
                     # recycle the victim's state object: its dirty
                     # bit is captured above and inlined write-back
@@ -1373,8 +1479,11 @@ class StorageSimulator:
                     bstate.prefetched = False
                     bstate.opg_nt = nt_new
                     bstate.opg_stamp = st
+                    bstate.opg_key_id = kid
                 else:
-                    bstate = block_state(False, False, False, nt_new, st)
+                    bstate = block_state(
+                        False, False, False, nt_new, st, kid
+                    )
                 blocks[key] = bstate
             # track at this access's next time, hit or miss (prepare
             # seeded res for every traced disk; inf next times stay
@@ -1427,6 +1536,8 @@ class StorageSimulator:
                     quick[vd](time, vb, True)
                     wb_writes += 1
                     split_gap(vd, time)
+            if len(heap) > heap_limit:
+                compact()
             append_response(worst)
 
         self.write_policy.disk_writes += wb_writes
@@ -1518,7 +1629,18 @@ class StorageSimulator:
     def finish(self, end_time: float) -> SimulationResult:
         """Wind the disks down to ``end_time`` and build the report."""
         self.array.finalize(end_time)
-        return self._build_result(self._responses, self._disk_reads, end_time)
+        return self._build_result(
+            self._response_samples(), self._disk_reads, end_time
+        )
+
+    def _response_samples(self):
+        """Every response sample in serving order: a batch run's
+        float64 chunks joined into one array, else a session's list as
+        it is."""
+        if not self._response_chunks:
+            return self._responses
+        self._fold_responses()
+        return np.concatenate(self._response_chunks)
 
     def state_dict(self) -> dict:
         """Snapshot every stateful component (see :mod:`repro.snapshot`).
@@ -1591,7 +1713,7 @@ class StorageSimulator:
                 self.write_policy.on_evicted(victim, state, time)
 
     def _build_result(
-        self, responses: list[float], disk_reads: int, end_time: float
+        self, responses, disk_reads: int, end_time: float
     ) -> SimulationResult:
         stats = self.cache.stats
         disks = [

@@ -22,12 +22,16 @@ class ResponseStats:
     max_s: float
 
     @classmethod
-    def from_samples(cls, samples: list[float]) -> "ResponseStats":
-        if not samples:
+    def from_samples(cls, samples) -> "ResponseStats":
+        """The distribution of per-request response times, given as a
+        list of floats or a float64 array (a batch run's folded
+        samples, read without a copy); both give the same stats for
+        the same values in the same order."""
+        if len(samples) == 0:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
         arr = np.asarray(samples)
         return cls(
-            count=len(samples),
+            count=len(arr),
             mean_s=float(arr.mean()),
             median_s=float(np.percentile(arr, 50)),
             p95_s=float(np.percentile(arr, 95)),

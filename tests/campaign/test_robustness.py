@@ -44,6 +44,17 @@ def die_in_worker(workload, **run_kwargs):
     return run_simulation(workload, **run_kwargs)
 
 
+def die_second_point_late(workload, **run_kwargs):
+    """Kills any pool worker it runs in, the second point's (``fifo``)
+    only after a pause: the first point's respawned workers die before
+    the second point's death is read."""
+    if multiprocessing.parent_process() is not None:
+        if run_kwargs.get("policy") == "fifo":
+            time.sleep(2.0)
+        os._exit(3)
+    return run_simulation(workload, **run_kwargs)
+
+
 def die_on_policy(workload, die_on=None, **run_kwargs):
     """Kills the worker only for one poisoned grid point."""
     if (
@@ -90,19 +101,42 @@ class TestSerialFallback:
         assert fallback[0]["consecutive_deaths"] == SERIAL_FALLBACK_DEATHS
         assert fallback[0]["remaining"] == 3
 
+    def test_hostile_verdict_does_not_depend_on_read_order(
+        self, trace, tmp_path
+    ):
+        """The first point's worker, and its respawns, die while the
+        second point's worker still runs: no point may be settled for
+        its deaths before any worker replied cleanly, so the streak
+        still reaches SERIAL_FALLBACK_DEATHS and every point finishes
+        serially."""
+        tasks = policy_tasks(["lru", "fifo", "clock"])
+        with RunJournal(tmp_path / "j.jsonl") as journal:
+            with pytest.warns(RuntimeWarning, match="consecutive worker deaths"):
+                outcomes = run_points(
+                    tasks, trace=trace, point_fn=die_second_point_late,
+                    workers=2, journal=journal, on_error="record",
+                )
+        assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
+        events = load_journal(tmp_path / "j.jsonl")
+        fallback = [e for e in events if e["event"] == "serial_fallback"]
+        assert len(fallback) == 1
+        assert fallback[0]["remaining"] == 3
+
     def test_poisoned_point_is_settled_not_retried_forever(self, trace):
         """One point reliably kills its worker while the others reply
         cleanly (resetting the consecutive-death counter): the poisoned
-        point alone is settled failed after MAX_DEATHS_PER_TASK."""
-        tasks = policy_tasks(["lru", "fifo", "clock"], die_on="fifo")
+        point alone is settled failed after MAX_DEATHS_PER_TASK. The
+        poisoned point is the third, which two workers start only once
+        one of the first two replied, so its deaths are charged."""
+        tasks = policy_tasks(["lru", "fifo", "clock"], die_on="clock")
         outcomes = run_points(
             tasks, trace=trace, point_fn=die_on_policy, workers=2,
             on_error="record",
         )
-        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
-        assert f"died {MAX_DEATHS_PER_TASK} times" in outcomes[1].error
+        assert [o.status for o in outcomes] == ["ok", "ok", "failed"]
+        assert f"died {MAX_DEATHS_PER_TASK} times" in outcomes[2].error
         # deaths are not charged against the retry budget
-        assert outcomes[1].retries == 0
+        assert outcomes[2].retries == 0
 
 
 class TestSharedMemoryHygiene:

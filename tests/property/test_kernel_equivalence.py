@@ -80,7 +80,8 @@ def _scalar_roll_counts(times, epoch_length_s):
 
 
 def _scalar_next_arrays(disks, blocks, times):
-    """The offline prepare as one reverse loop over a dict."""
+    """The offline prepare as one reverse loop over a dict; a key's id
+    is its rank among the sorted distinct ``(disk, block)`` pairs."""
     n = len(times)
     inf = float("inf")
     next_pos = [n] * n
@@ -95,7 +96,9 @@ def _scalar_next_arrays(disks, blocks, times):
     first_mask = [False] * n
     for i in last_seen.values():
         first_mask[i] = True
-    return next_pos, next_time, first_mask
+    rank = {key: r for r, key in enumerate(sorted(last_seen))}
+    key_ids = [rank[key] for key in zip(disks, blocks)]
+    return next_pos, next_time, first_mask, key_ids
 
 
 def _scalar_first_times(disks, blocks, times):
@@ -271,13 +274,16 @@ def test_add_batch_matches_scalar_adds():
 def _check_next_arrays(seed: int, n: int) -> None:
     rng = random.Random(seed)
     times, disks, blocks = _random_accesses(rng, n)
-    ref_pos, ref_time, ref_first = _scalar_next_arrays(disks, blocks, times)
-    next_pos, next_time, first_mask = kernels.next_access_arrays(
+    ref_pos, ref_time, ref_first, ref_ids = _scalar_next_arrays(
+        disks, blocks, times
+    )
+    next_pos, next_time, first_mask, key_ids = kernels.next_access_arrays(
         disks, blocks, times
     )
     assert next_pos.tolist() == ref_pos
     assert next_time.tolist() == ref_time  # inf == inf, floats bit-equal
     assert first_mask.tolist() == ref_first
+    assert key_ids.tolist() == ref_ids
 
     ref_seed = _scalar_first_times(disks, blocks, times)
     out = kernels.first_times_by_disk(disks, times, first_mask)
@@ -308,16 +314,22 @@ def test_next_access_arrays_match_scalar_slow(seed):
 )
 def test_next_access_arrays_keep_every_key_apart(disks, blocks):
     times = [float(i) for i in range(len(disks))]
-    ref_pos, ref_time, ref_first = _scalar_next_arrays(disks, blocks, times)
-    next_pos, next_time, first_mask = kernels.next_access_arrays(
+    ref_pos, ref_time, ref_first, ref_ids = _scalar_next_arrays(
+        disks, blocks, times
+    )
+    next_pos, next_time, first_mask, key_ids = kernels.next_access_arrays(
         disks, blocks, times
     )
     assert next_pos.tolist() == ref_pos
     assert next_time.tolist() == ref_time
     assert first_mask.tolist() == ref_first
+    assert key_ids.tolist() == ref_ids
 
 
 def test_next_access_arrays_empty():
-    next_pos, next_time, first_mask = kernels.next_access_arrays([], [], [])
+    next_pos, next_time, first_mask, key_ids = kernels.next_access_arrays(
+        [], [], []
+    )
     assert len(next_pos) == len(next_time) == len(first_mask) == 0
+    assert len(key_ids) == 0
     assert kernels.first_times_by_disk([], [], first_mask) == []

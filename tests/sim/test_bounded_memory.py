@@ -1,12 +1,15 @@
-"""Memory a fast run holds: one chunk of boxed rows, not the trace.
+"""Memory a batch run holds: the cache and one chunk, not the trace.
 
 The fused PA-LRU loop used to box all four access columns and its
 whole Bloom cold mask and epoch-roll plan into Python lists before the
 first access, about 100 bytes an access on top of the columns. It now
 boxes one ``CHUNK_ROWS`` chunk at a time, so on a trace of several
-chunks the boxed rows are a fraction of the peak. Neither fused loop
-keeps the exact cold-miss set either: both count their cold misses
-from the trace.
+chunks the boxed rows are a fraction of the peak. No batch loop keeps
+the exact cold-miss set: each counts its cold misses from the trace.
+Every loop folds a chunk's response samples into float64 once the
+chunk ran, and the offline policies' lazy heaps (and the fused OPG
+loop's) are rebuilt from their live entries once stale ones outnumber
+them, so a heap follows the resident blocks, not the accesses.
 """
 
 import tracemalloc
@@ -14,6 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.cache.policies.base import HEAP_SLACK
+from repro.sim import engine
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_policy, build_session, run_simulation
 from repro.traces import columnar
@@ -71,7 +76,7 @@ def _cold_heavy_trace(rows: int) -> ColumnarTrace:
     )
 
 
-@pytest.mark.parametrize("policy, bound", [("pa-lru", 110), ("opg", 250)])
+@pytest.mark.parametrize("policy, bound", [("pa-lru", 110), ("opg", 140)])
 def test_a_fused_run_holds_no_cold_miss_set(policy, bound, monkeypatch):
     """A fused run counts its cold misses as the trace's distinct
     blocks, exactly, and ends holding neither ``CacheStats._seen`` nor
@@ -79,9 +84,11 @@ def test_a_fused_run_holds_no_cold_miss_set(policy, bound, monkeypatch):
 
     The bound is on what the run still holds when it ends, per access:
     on a trace this small the Bloom kernel's fixed working set sets
-    PA-LRU's peak. Measured: PA-LRU 40.7 B an access, 179.4 while the
-    loop kept ``_seen`` and ``_home``; OPG 192.5, 309.3 with ``_seen``.
-    Each bound sits about halfway, some 60-70 B from either side.
+    PA-LRU's peak. Measured: PA-LRU 22.0 B an access (40.7 while the
+    samples stayed boxed floats, 179.4 while the loop kept ``_seen``
+    and ``_home``); OPG 76.4 (192.5 while evicted blocks' stamps sat
+    in a tuple-keyed dict and the samples stayed boxed, 309.3 with
+    ``_seen`` too). The OPG bound sits about halfway.
     """
     monkeypatch.setattr(columnar, "CHUNK_ROWS", 2048)
     trace = _cold_heavy_trace(4 * 2048 + 100)
@@ -110,8 +117,10 @@ def test_a_fused_run_holds_no_cold_miss_set(policy, bound, monkeypatch):
     "name, kept", [("opg", "_next_time_array"), ("belady", "_next_pos_array")]
 )
 def test_a_prepared_offline_policy_holds_one_future_array(name, kept):
-    """Prepare keeps the one per-access kernel array its policy reads,
-    and the expansion's all-ones ``nblocks`` column takes no memory."""
+    """Prepare keeps the one per-access kernel array of future
+    knowledge its policy reads (OPG also keeps each access's dense key
+    id, under which the fused loop files evicted blocks' stamps), and
+    the expansion's all-ones ``nblocks`` column takes no memory."""
     trace = generate_cdn_trace(CDNTraceConfig(duration_s=4.0, num_disks=3))
     policy = build_policy(name, SimulationConfig(3, 64))
     accesses, starts = policy.prepare_columnar(trace)
@@ -119,7 +128,120 @@ def test_a_prepared_offline_policy_holds_one_future_array(name, kept):
     assert accesses.nblocks.strides == (0,)
     assert (accesses.nblocks == 1).all()
     arrays = {k for k, v in vars(policy).items() if isinstance(v, np.ndarray)}
-    assert arrays == {kept}
+    if name == "opg":
+        assert arrays == {kept, "_key_id_array"}
+        ids = policy._key_id_array
+        assert len(ids) == len(accesses)
+        assert int(ids.max()) + 1 == policy._key_count
+    else:
+        assert arrays == {kept}
     # the lazy key list's columns are the expansion's own
     disks, blocks = policy._lazy_cols
     assert disks is accesses.disks and blocks is accesses.blocks
+
+
+def test_a_generic_loop_batch_run_holds_no_cold_miss_set(monkeypatch):
+    """A batch run on the generic loop counts its cold misses as the
+    trace's distinct blocks, exactly, skips the ``CacheStats._seen``
+    probe, and keeps its response samples as float64 chunks.
+
+    The bound is on the run's tracemalloc peak per access. Measured on
+    LRU: 49.5 B an access, 200.3 while the loop kept ``_seen`` and the
+    samples stayed boxed floats. The bound sits about halfway.
+    """
+    monkeypatch.setattr(columnar, "CHUNK_ROWS", 2048)
+    trace = _cold_heavy_trace(4 * 2048 + 100)
+    params = dict(num_disks=8, cache_blocks=256)
+    reference = run_simulation(trace.to_requests(), "lru", **params)
+    build_session(trace[:100], "lru", **params).run_batch()
+    session = build_session(trace, "lru", **params)
+    simulator = session.simulator
+    assert simulator._fused_loop_for() is None
+    tracemalloc.start()
+    try:
+        result = session.run_batch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.to_dict() == reference.to_dict()
+    assert result.cold_misses > 0.9 * len(trace)
+    assert not simulator.cache.stats._seen
+    assert peak / len(trace) < 125
+
+
+def test_a_session_keeps_its_cold_miss_set():
+    """A fed session still probes ``_seen``: its batches arrive one at
+    a time, so no trace-wide count exists."""
+    trace = _cold_heavy_trace(500)
+    params = dict(num_disks=8, cache_blocks=64)
+    session = build_session(policy="lru", **params)
+    requests = trace.to_requests()
+    session.feed(requests[:250])
+    session.feed(requests[250:])
+    result = session.finalize()
+    reference = run_simulation(requests, "lru", **params)
+    assert result.to_dict() == reference.to_dict()
+    assert len(session.simulator.cache.stats._seen) == result.cold_misses
+
+
+def test_a_fused_opg_run_ends_with_a_bounded_heap():
+    """The fused OPG loop rebuilds its lazy heap once it holds more
+    than ``2 * resident + HEAP_SLACK`` entries, and keeps evicted
+    blocks' stamps in a list, not the policy's ``_stamp`` dict. On
+    this hit-heavy trace the heap would otherwise end holding one
+    entry per hit."""
+    trace = _hit_heavy_trace(20_000)
+    params = dict(num_disks=8, cache_blocks=512)
+    session = build_session(trace, "opg", **params)
+    simulator = session.simulator
+    assert simulator._fused_loop_for() is not None
+    result = session.run_batch()
+    assert result.evictions > 0
+    policy = simulator.policy
+    assert len(policy._heap) <= 2 * 512 + HEAP_SLACK
+    assert not policy._stamp
+    reference = run_simulation(trace.to_requests(), "opg", **params)
+    assert result.to_dict() == reference.to_dict()
+
+
+@pytest.mark.parametrize("name", ["opg", "belady"])
+def test_a_scalar_offline_heap_is_bounded(name):
+    """``OPGPolicy`` and ``BeladyPolicy`` on the ``handle_request``
+    reference path rebuild their lazy heaps by the same rule, and the
+    result stays the fast loops' own."""
+    trace = _hit_heavy_trace(6000)
+    params = dict(num_disks=8, cache_blocks=256)
+    session = build_session(trace.to_requests(), name, **params)
+    result = session.run_batch()
+    policy = session.simulator.policy
+    assert result.evictions > 0
+    assert len(policy._heap) <= 2 * len(policy) + HEAP_SLACK
+    assert len(policy) == 256
+    assert result.to_dict() == run_simulation(trace, name, **params).to_dict()
+
+
+def test_the_heap_bound_follows_the_resident_blocks(monkeypatch):
+    """With no cache limit the heap's bound grows with the resident
+    blocks, not with a capacity: a bound of ``2 * capacity + 64`` read
+    as no capacity would rebuild on every push (thousands of rebuilds
+    here) or never (a heap of one entry per access). Counted by the
+    fused loop's ``heapify`` calls, one per rebuild."""
+    rebuilds = []
+    heapify = engine.heapify
+
+    def counted(heap):
+        rebuilds.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(engine, "heapify", counted)
+    trace = _hit_heavy_trace(8000)
+    session = build_session(trace, "opg", num_disks=8, cache_blocks=None)
+    simulator = session.simulator
+    assert simulator._fused_loop_for() is not None
+    result = session.run_batch()
+    resident = len(simulator.cache)
+    assert result.evictions == 0 and resident == result.cold_misses
+    assert len(simulator.policy._heap) <= 2 * resident + HEAP_SLACK
+    # every access pushes one entry, and a rebuild needs resident +
+    # HEAP_SLACK stale ones since the last
+    assert 0 < len(rebuilds) <= len(trace) // HEAP_SLACK

@@ -192,3 +192,53 @@ def test_disordered_columnar_trace_rejected_before_any_request(name):
     )
     # rejected before the run starts: not even SimulationStart went out
     assert events == []
+
+
+BAD_ROWS = {
+    # column -> (value at row 2, the columnar run's message)
+    "disks": (-1, "trace row 2: disk -1 is not in the 5-disk array"),
+    "blocks": (-5, "trace row 2: block must be >= 0, got -5"),
+    "nblocks": (0, "trace row 2: nblocks must be >= 1, got 0"),
+    "too_far": (5, "trace row 2: disk 5 is not in the 5-disk array"),
+}
+
+
+def _with_bad_row(column):
+    value = BAD_ROWS[column][0]
+    cols = {
+        "times": [0.0, 1.0, 2.0, 3.0],
+        "disks": [0, 1, 2, 3],
+        "blocks": [1, 2, 3, 4],
+        "nblocks": [1, 2, 1, 1],
+        "is_write": [False, True, False, True],
+    }
+    cols["disks" if column == "too_far" else column][2] = value
+    return ColumnarTrace(**cols)
+
+
+@pytest.mark.parametrize("column", sorted(BAD_ROWS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_a_bad_row_is_rejected_before_any_request(name, column):
+    """A row the ``IORequest`` constructor would reject, or whose disk
+    is not in the array, fails every columnar run with a
+    ``TraceError`` naming it, before any request is simulated. The
+    reference rejects the same rows: the constructor when the rows
+    become requests, the run for a disk past the array, with the
+    columnar run's message."""
+    trace = _with_bad_row(column)
+    kwargs = {**COMMON_KWARGS, **GOLDEN_RUNS[name]}
+    policy = kwargs.pop("policy")
+    message = BAD_ROWS[column][1]
+    events = []
+    for probe in (None, events.append):
+        with pytest.raises(TraceError) as excinfo:
+            run_simulation(trace, policy, probe=probe, **kwargs)
+        assert str(excinfo.value) == message
+    assert events == []
+    if column == "too_far":
+        with pytest.raises(TraceError) as excinfo:
+            run_simulation(trace.to_requests(), policy, **kwargs)
+        assert str(excinfo.value) == message
+    else:
+        with pytest.raises(TraceError):
+            trace.to_requests()
