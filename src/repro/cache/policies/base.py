@@ -124,9 +124,11 @@ class OfflinePolicy(ReplacementPolicy):
         knowledge: by default the next-access times
         (``_next_time_array``, float64), which the fused OPG loop boxes
         one chunk at a time; Belady keeps the next-access positions
-        instead (``_next_pos_array``). OPG also keeps the kernel's
-        dense key ids (``_key_id_array``), which index the fused loop's
-        list of evicted blocks' stamps. No list is
+        instead (``_next_pos_array``). Every prepared policy keeps how
+        many distinct blocks the accesses touch (``_key_count``), which
+        a run from an unseen cache reports as its cold misses. OPG also
+        keeps the kernel's dense key ids (``_key_id_array``), which
+        index the fused loop's list of evicted blocks' stamps. No list is
         built here: ``_keys``, ``_next_pos`` and ``_next_time`` are
         built on first attribute access via ``__getattr__`` — the fused
         engine loops never read them, and at a million accesses each
@@ -140,7 +142,8 @@ class OfflinePolicy(ReplacementPolicy):
     def _prepare_arrays(self, trace):
         """The part every ``prepare_columnar`` shares: expand the
         trace, reset the cursor and the lazy lists, and run the
-        next-access kernel. Returns ``(expanded, next_pos, next_time,
+        next-access kernel, and count the distinct blocks
+        (``_key_count``). Returns ``(expanded, next_pos, next_time,
         first_mask, key_ids)``; the caller keeps what its policy reads,
         and the rest is freed when its prepare returns."""
         from repro.core import kernels
@@ -152,6 +155,7 @@ class OfflinePolicy(ReplacementPolicy):
         )
         for name in self._LAZY_ATTRS:
             self.__dict__.pop(name, None)
+        self._key_count = int(arrays[2].sum())
         self._lazy_cols = (accesses.disks, accesses.blocks)
         self._cursor = 0
         self._prepared = True

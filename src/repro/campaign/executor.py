@@ -70,11 +70,13 @@ SERIAL_FALLBACK_DEATHS = 3
 
 #: Times one point may take its worker down before it is settled as
 #: failed rather than requeued (a point that reliably kills workers
-#: would otherwise starve the pool). Charged only once some point has
-#: completed cleanly in a worker: until then every death may be the
-#: environment's, and the pool falls back to serial after
-#: :data:`SERIAL_FALLBACK_DEATHS` of them, whichever order they are
-#: read in.
+#: would otherwise starve the pool). Before any worker has replied
+#: cleanly the deaths may be the environment's, so a point at the cap
+#: is held until the next worker outcome: a clean reply settles it
+#: failed, another death completes the :data:`SERIAL_FALLBACK_DEATHS`
+#: streak, whichever order the deaths are read in. A point with no
+#: other point left to hear from is settled at once, so a poisoned
+#: point never reaches the serial pass on its own deaths.
 MAX_DEATHS_PER_TASK = 2
 
 
@@ -449,12 +451,12 @@ def _run_parallel(
     backoff). When :data:`SERIAL_FALLBACK_DEATHS` workers die in a row
     without a single clean reply, the pool is abandoned — everything
     still unfinished runs serially in the parent, where a death would
-    at least be *our* crash and therefore debuggable. A point is
-    settled failed for its deaths only once some worker has replied
-    cleanly: before that, a point whose respawned worker dies before
-    another worker's death is read would otherwise be settled at its
-    second death while the pool-wide streak never reached the
-    fallback.
+    at least be *our* crash and therefore debuggable. Until some
+    worker has replied cleanly, a point that reaches its death cap
+    while other points are queued or in flight is held (``held``)
+    rather than settled: settling it then would make the verdict
+    depend on whether its respawned worker died before another
+    worker's death was read.
     """
     ctx = multiprocessing.get_context()
     pool_size = min(workers, len(pending))
@@ -471,6 +473,9 @@ def _run_parallel(
     failures: list[PointOutcome] = []
     consecutive_deaths = 0
     replied = False  # has any worker replied cleanly yet?
+    # a point at its death cap awaiting the next outcome (at most one:
+    # any further death completes the fallback streak)
+    held: tuple[PointTask, int, PointOutcome] | None = None
     fallback: list[tuple[PointTask, int]] | None = None
 
     def respawn(worker: _Worker) -> _Worker:
@@ -588,28 +593,30 @@ def _run_parallel(
                             + [
                                 (a.task, a.tries)
                                 for a in inflight.values()
-                            ],
+                            ]
+                            + ([held[:2]] if held else []),
                             key=lambda item: item[0].index,
                         )
                         queue.clear()
+                        held = None
                         continue
-                    if replied and deaths >= MAX_DEATHS_PER_TASK:
-                        settle(
-                            PointOutcome(
-                                task=attempt.task,
-                                status="failed",
-                                wall_time_s=(
-                                    time.perf_counter() - attempt.started
-                                ),
-                                worker=worker.id,
-                                retries=attempt.tries,
-                                key=key_of(attempt.task),
-                                error=(
-                                    f"worker process died {deaths} times "
-                                    "on this point"
-                                ),
+                    if deaths >= MAX_DEATHS_PER_TASK:
+                        failed = PointOutcome(
+                            task=attempt.task,
+                            status="failed",
+                            wall_time_s=time.perf_counter() - attempt.started,
+                            worker=worker.id,
+                            retries=attempt.tries,
+                            key=key_of(attempt.task),
+                            error=(
+                                f"worker process died {deaths} times "
+                                "on this point"
                             ),
                         )
+                        if replied or not (queue or inflight):
+                            settle(failed)
+                        else:
+                            held = (attempt.task, attempt.tries, failed)
                     else:
                         queue.appendleft(
                             (attempt.task, attempt.tries, deaths, 0.0)
@@ -620,6 +627,9 @@ def _run_parallel(
                 idle.append(worker)
                 consecutive_deaths = 0
                 replied = True
+                if held is not None:
+                    settle(held[2])  # the pool runs points: it was poisoned
+                    held = None
                 if status == "ok":
                     settle(
                         PointOutcome(
@@ -652,6 +662,9 @@ def _run_parallel(
                         "timeout",
                         f"point exceeded {retry.timeout_s}s and was killed",
                     )
+        if held is not None:
+            # nothing was left to hear from (the others timed out)
+            settle(held[2])
     finally:
         # unlink the segment even if reaping a worker raises: the
         # mapping dies with the workers, but the *name* outlives the

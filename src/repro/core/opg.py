@@ -107,20 +107,20 @@ class OPGPolicy(OfflinePolicy):
         access to each block misses under any policy), so each disk's
         timeline is bulk-loaded from its sorted unique first-access
         times (:func:`repro.core.kernels.first_times_by_disk`,
-        :meth:`DiskTimeline.from_sorted`). Also keeps how many
-        distinct blocks the accesses touch (``_key_count``), which the
-        fused loop reports as its cold misses; the fused loop keeps
-        evicted blocks' stamps in a list of that length, indexed by
-        each access's key id (``_key_id_array``). Returns the base's
-        ``(accesses, starts)``."""
+        :meth:`DiskTimeline.from_sorted`). The fused loop keeps
+        evicted blocks' stamps in a list of ``_key_count`` entries,
+        indexed by each access's key id (``_key_id_array``, int32
+        while the ids fit; the engine drops it for a run that takes
+        no fused OPG loop). Returns the base's ``(accesses, starts)``."""
         from repro.core import kernels
 
         expanded, _, next_time, first_mask, key_ids = self._prepare_arrays(
             trace
         )
         self._next_time_array = next_time
-        self._key_id_array = key_ids
-        self._key_count = int(first_mask.sum())
+        self._key_id_array = (
+            key_ids.astype("int32") if self._key_count < 2**31 else key_ids
+        )
         accesses = expanded[0]
         end = float(trace.times[-1]) if len(trace) else self._start_time
         self._timelines = {}

@@ -138,6 +138,43 @@ def _distinct_keys(disks: np.ndarray, blocks: np.ndarray) -> int:
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
+def _distinct_blocks(trace: ColumnarTrace) -> int:
+    """How many distinct ``(disk, block)`` keys a trace's requests touch,
+    counted from its rows: no per-block expansion
+    (:meth:`ColumnarTrace.block_accesses`), so the count costs memory
+    per row, not per access. A single-block trace's rows are its
+    accesses (:func:`_distinct_keys`). A multi-block one maps each
+    row's ``[block, block + nblocks)`` range onto one int64 line, the
+    disks far enough apart that no range reaches the next disk's, and
+    measures the union of the ranges: sorted by start, each adds what
+    lies past every earlier range's end."""
+    disks, blocks, counts = trace.disks, trace.blocks, trace.nblocks
+    if bool((counts == 1).all()):
+        return _distinct_keys(disks, blocks)
+    first_disk = int(disks.min())
+    first_block = int(blocks.min())
+    span = int((blocks + counts).max()) - first_block
+    if (int(disks.max()) - first_disk + 1) * span >= 1 << 63:
+        # past int64 (never on a real trace): count the expansion
+        accesses = trace.block_accesses()[0]
+        return _distinct_keys(accesses.disks, accesses.blocks)
+    starts = disks - first_disk
+    starts *= span
+    starts += blocks - first_block
+    order = starts.argsort()
+    starts = starts[order]
+    ends = counts[order]
+    del order
+    ends += starts
+    reach = np.maximum.accumulate(ends)
+    # where each range's new part starts: past every earlier range
+    np.maximum(starts[1:], reach[:-1], out=starts[1:])
+    del reach
+    ends -= starts
+    np.maximum(ends, 0, out=ends)
+    return int(ends.sum())
+
+
 def _disk_out_of_array(row: int, disk: int, num_disks: int) -> str:
     return f"trace row {row}: disk {disk} is not in the {num_disks}-disk array"
 
@@ -263,14 +300,25 @@ class StorageSimulator:
         ``None`` for an online policy. Called by :meth:`run`; a driver
         that calls :meth:`handle_request` itself but knows the whole
         trace up front (the crash harness) calls it before the first
-        request.
+        request. OPG's per-access key ids are kept only for a run that
+        takes the fused OPG loop, their one reader.
         """
-        if not isinstance(self.policy, OfflinePolicy):
+        policy = self.policy
+        if not isinstance(policy, OfflinePolicy):
             return None
         trace = self.trace
+        fused_opg = (
+            isinstance(trace, ColumnarTrace)
+            and self.probe is None
+            and self._fused_loop_for() == self._run_columnar_fast_opg
+        )
         if not isinstance(trace, ColumnarTrace):
             trace = ColumnarTrace.from_requests(trace)
-        return self.policy.prepare_columnar(trace)
+        expanded = policy.prepare_columnar(trace)
+        if isinstance(policy, OPGPolicy) and not fused_opg:
+            # only the fused OPG loop reads the per-access key ids
+            policy._key_id_array = None
+        return expanded
 
     def run(self) -> SimulationResult:
         """Execute the simulation; may be called once per instance.
@@ -362,7 +410,9 @@ class StorageSimulator:
         ``CacheStats._seen`` when the run starts from a cache that has
         seen no block and admits no prefetched one: every distinct
         block then misses cold exactly once, so the cold misses are
-        the trace's distinct blocks, counted up front.
+        the trace's distinct blocks, counted here before any loop runs
+        (an offline policy's prepare counted them, ``_key_count``; else
+        :func:`_distinct_blocks` counts them from the rows).
         """
         expanded = self.prepare_offline()
         trace: ColumnarTrace = self.trace
@@ -379,17 +429,18 @@ class StorageSimulator:
         if was_enabled:
             gc.disable()
         try:
+            stats = self.cache.stats
+            # every fused loop's gate includes this one
+            count_up_front = self.prefetcher is None and not stats._seen
+            if count_up_front:
+                stats.cold_misses += (
+                    _distinct_blocks(trace)
+                    if expanded is None
+                    else self.policy._key_count
+                )
             fused = self._fused_loop_for()
             if fused is not None:
                 return fused(*(expanded or trace.block_accesses()))
-            stats = self.cache.stats
-            count_up_front = self.prefetcher is None and not stats._seen
-            if count_up_front:
-                accesses = (expanded or trace.block_accesses())[0]
-                stats.cold_misses += _distinct_keys(
-                    accesses.disks, accesses.blocks
-                )
-                del accesses
             del expanded  # released: the generic loop never reads it
             # the generic loop is re-entrant: once per chunk, as
             # handle_batch runs it once per fed batch
@@ -625,8 +676,9 @@ class StorageSimulator:
         subclass could override any hook), no prefetcher (prefetch
         admissions would desynchronize the precomputed Bloom/next-access
         plans), and a cache that has seen no block (a run from there
-        misses cold exactly once per distinct block, so both loops
-        count their cold misses from the trace). They inline their
+        misses cold exactly once per distinct block, so
+        :meth:`_run_columnar` counts the cold misses from the trace and
+        neither loop probes ``CacheStats._seen``). They inline their
         write policies' hooks and call no write-policy method, so each
         runs under exact write-policy types only: the OPG loop under
         ``WriteBackPolicy``, the write policy every OPG benchmark,
@@ -691,8 +743,9 @@ class StorageSimulator:
 
         Each resident block's side rides its ``BlockState`` slot
         (``pa_priority``) instead of the policy's ``_home`` map, and the
-        cold misses are the trace's distinct blocks, counted up front
-        instead of probing ``CacheStats._seen``. Nothing is handed back:
+        cold misses are the trace's distinct blocks, which
+        :meth:`_run_columnar` counts before the loop, instead of probing
+        ``CacheStats._seen``. Nothing is handed back:
         ``_home`` and ``_seen`` stay empty, and the classifier's other
         state (Bloom words, per-disk miss counts and histograms, last
         miss times, epoch clock) lives in the loop's locals; a simulator
@@ -726,7 +779,6 @@ class StorageSimulator:
         )
         n_total = len(trace)
         n_write_total = int(trace.is_write.sum())
-        n_cold = _distinct_keys(trace.disks, trace.blocks)
 
         # -- live policy/classifier state (aliased, not copied) ----------
         classes = classifier._classes
@@ -894,7 +946,6 @@ class StorageSimulator:
         stats.write_accesses += n_write_total
         stats.hits += n_total - n_miss
         stats.misses += n_miss
-        stats.cold_misses += n_cold
         stats.evictions += n_evict
         stats.dirty_evictions += n_dirty_evict
         self._disk_reads += disk_reads
@@ -954,8 +1005,9 @@ class StorageSimulator:
         entries, one per resident block, once it holds more than
         ``2 * resident + HEAP_SLACK`` (``compact``), so it follows
         the cache, not the trace. The cold misses are the distinct
-        blocks prepare counted (``_key_count``), so ``CacheStats._seen``
-        stays empty too. Nothing is handed back to the policy
+        blocks prepare counted (``_key_count``), which
+        :meth:`_run_columnar` adds, so ``CacheStats._seen`` stays empty
+        too. Nothing is handed back to the policy
         when the loop exits: a simulator is single-use, and an offline
         policy can be neither fed nor checkpointed, so no caller reads
         its per-block state after the run. Write-back never pins a
@@ -1329,8 +1381,8 @@ class StorageSimulator:
         block_state = BlockState
         disk_reads = 0
         # Totals the loop would accumulate one by one fall out of the
-        # columns directly, the cold misses too (one per distinct
-        # block, which prepare counted); only the cache-state-dependent
+        # columns directly (the cold misses, one per distinct block,
+        # were added before the loop); only the cache-state-dependent
         # counters (misses, evictions) stay in the loop.
         n_total = len(trace)
         n_write_total = int(trace.is_write.sum())
@@ -1546,7 +1598,6 @@ class StorageSimulator:
         stats.write_accesses += n_write_total
         stats.hits += n_total - n_miss
         stats.misses += n_miss
-        stats.cold_misses += policy._key_count
         stats.evictions += n_evict
         stats.dirty_evictions += n_dirty_evict
         self._disk_reads += disk_reads

@@ -9,6 +9,7 @@ is exactly what the serial-fallback path relies on.
 import multiprocessing
 import os
 import time
+import warnings
 from multiprocessing import shared_memory
 
 import pytest
@@ -55,13 +56,14 @@ def die_second_point_late(workload, **run_kwargs):
     return run_simulation(workload, **run_kwargs)
 
 
-def die_on_policy(workload, die_on=None, **run_kwargs):
-    """Kills the worker only for one poisoned grid point."""
-    if (
-        run_kwargs.get("policy") == die_on
-        and multiprocessing.parent_process() is not None
-    ):
-        os._exit(3)
+def die_on_policy(workload, die_on=None, slow_on=None, **run_kwargs):
+    """Kills the worker only for one poisoned grid point; in a worker,
+    the ``slow_on`` point first pauses."""
+    if multiprocessing.parent_process() is not None:
+        if run_kwargs.get("policy") == die_on:
+            os._exit(3)
+        if run_kwargs.get("policy") == slow_on:
+            time.sleep(2.0)
     return run_simulation(workload, **run_kwargs)
 
 
@@ -125,18 +127,47 @@ class TestSerialFallback:
     def test_poisoned_point_is_settled_not_retried_forever(self, trace):
         """One point reliably kills its worker while the others reply
         cleanly (resetting the consecutive-death counter): the poisoned
-        point alone is settled failed after MAX_DEATHS_PER_TASK. The
-        poisoned point is the third, which two workers start only once
-        one of the first two replied, so its deaths are charged."""
-        tasks = policy_tasks(["lru", "fifo", "clock"], die_on="clock")
+        point alone is settled failed after MAX_DEATHS_PER_TASK."""
+        tasks = policy_tasks(["lru", "fifo", "clock"], die_on="fifo")
         outcomes = run_points(
             tasks, trace=trace, point_fn=die_on_policy, workers=2,
             on_error="record",
         )
-        assert [o.status for o in outcomes] == ["ok", "ok", "failed"]
-        assert f"died {MAX_DEATHS_PER_TASK} times" in outcomes[2].error
+        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
+        assert f"died {MAX_DEATHS_PER_TASK} times" in outcomes[1].error
         # deaths are not charged against the retry budget
-        assert outcomes[2].retries == 0
+        assert outcomes[1].retries == 0
+
+    def test_a_poisoned_first_point_is_settled_not_run_serially(self, trace):
+        """The first point kills both its workers before any worker
+        replied, while the second still runs: the point is held at
+        MAX_DEATHS_PER_TASK until the next outcome, a clean reply,
+        settles it failed. It never reaches the serial pass, where it
+        would run in the campaign's own process (and, here, succeed)."""
+        tasks = policy_tasks(
+            ["lru", "fifo", "clock"], die_on="lru", slow_on="fifo"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes = run_points(
+                tasks, trace=trace, point_fn=die_on_policy, workers=2,
+                on_error="record",
+            )
+        assert [o.status for o in outcomes] == ["failed", "ok", "ok"]
+        assert f"died {MAX_DEATHS_PER_TASK} times" in outcomes[0].error
+
+    def test_a_lone_poisoned_point_is_settled_not_run_serially(self, trace):
+        """With no other point to hear from, a point is settled failed
+        at MAX_DEATHS_PER_TASK, as it is once a worker replied."""
+        tasks = policy_tasks(["lru"], die_on="lru")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes = run_points(
+                tasks, trace=trace, point_fn=die_on_policy, workers=2,
+                on_error="record",
+            )
+        assert [o.status for o in outcomes] == ["failed"]
+        assert f"died {MAX_DEATHS_PER_TASK} times" in outcomes[0].error
 
 
 class TestSharedMemoryHygiene:

@@ -131,7 +131,7 @@ def test_a_prepared_offline_policy_holds_one_future_array(name, kept):
     if name == "opg":
         assert arrays == {kept, "_key_id_array"}
         ids = policy._key_id_array
-        assert len(ids) == len(accesses)
+        assert ids.dtype == np.int32 and len(ids) == len(accesses)
         assert int(ids.max()) + 1 == policy._key_count
     else:
         assert arrays == {kept}
@@ -140,18 +140,51 @@ def test_a_prepared_offline_policy_holds_one_future_array(name, kept):
     assert disks is accesses.disks and blocks is accesses.blocks
 
 
-def test_a_generic_loop_batch_run_holds_no_cold_miss_set(monkeypatch):
+def _multiblock_hit_heavy_trace(rows: int) -> ColumnarTrace:
+    # 8 disks x 47 block ids, 1-8 blocks a request, against a 512-block
+    # cache: after warm-up every access hits, so few blocks are ever
+    # seen and a per-access array would dominate the run's memory.
+    rng = np.random.default_rng(5)
+    return ColumnarTrace(
+        np.cumsum(rng.exponential(0.02, rows)),
+        rng.integers(0, 8, rows),
+        rng.integers(0, 40, rows) + 10_000,
+        rng.integers(1, 9, rows),
+        rng.random(rows) < 0.2,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_trace, cache_blocks, cold_share, bound",
+    [
+        pytest.param(
+            _cold_heavy_trace, 256, (0.9, 1.0), 125, id="single-block-cold"
+        ),
+        pytest.param(
+            _multiblock_hit_heavy_trace, 512, (0.0, 0.02), 25,
+            id="multi-block-hit",
+        ),
+    ],
+)
+def test_a_generic_loop_batch_run_holds_no_cold_miss_set(
+    make_trace, cache_blocks, cold_share, bound, monkeypatch
+):
     """A batch run on the generic loop counts its cold misses as the
     trace's distinct blocks, exactly, skips the ``CacheStats._seen``
-    probe, and keeps its response samples as float64 chunks.
+    probe, and keeps its response samples as float64 chunks. A
+    multi-block trace's blocks are counted from its rows, not from a
+    per-block expansion.
 
-    The bound is on the run's tracemalloc peak per access. Measured on
-    LRU: 49.5 B an access, 200.3 while the loop kept ``_seen`` and the
-    samples stayed boxed floats. The bound sits about halfway.
+    The bound is on the run's tracemalloc peak per access (block).
+    Measured on LRU: the single-block cold-heavy trace 49.5 B an
+    access, 200.3 while the loop kept ``_seen`` and the samples stayed
+    boxed floats; the multi-block hit-heavy one 10.7 (11.6 with
+    ``_seen``, 41.0 while the count expanded the trace). Each bound
+    sits about halfway.
     """
     monkeypatch.setattr(columnar, "CHUNK_ROWS", 2048)
-    trace = _cold_heavy_trace(4 * 2048 + 100)
-    params = dict(num_disks=8, cache_blocks=256)
+    trace = make_trace(4 * 2048 + 100)
+    params = dict(num_disks=8, cache_blocks=cache_blocks)
     reference = run_simulation(trace.to_requests(), "lru", **params)
     build_session(trace[:100], "lru", **params).run_batch()
     session = build_session(trace, "lru", **params)
@@ -164,9 +197,35 @@ def test_a_generic_loop_batch_run_holds_no_cold_miss_set(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.to_dict() == reference.to_dict()
-    assert result.cold_misses > 0.9 * len(trace)
+    accesses = int(trace.nblocks.sum())
+    low, high = cold_share
+    assert low * accesses < result.cold_misses <= high * accesses
     assert not simulator.cache.stats._seen
-    assert peak / len(trace) < 125
+    assert peak / accesses < bound
+
+
+@pytest.mark.parametrize(
+    "reference, write_policy, kept",
+    [(False, "write-back", True), (False, "write-through", False),
+     (True, "write-back", False)],
+)
+def test_opg_keeps_its_key_ids_for_the_fused_loop_only(
+    reference, write_policy, kept
+):
+    """Only the fused OPG loop reads the per-access key ids: a run on
+    the generic loop (OPG under write-through) or on the
+    ``handle_request`` reference drops them once prepared."""
+    trace = _cold_heavy_trace(500)
+    params = dict(num_disks=8, cache_blocks=64, write_policy=write_policy)
+    session = build_session(
+        trace.to_requests() if reference else trace, "opg", **params
+    )
+    simulator = session.simulator
+    simulator.prepare_offline()
+    ids = simulator.policy._key_id_array
+    assert (ids is not None) == kept
+    if kept:
+        assert ids.dtype == np.int32 and len(ids) == len(trace)
 
 
 def test_a_session_keeps_its_cold_miss_set():

@@ -22,7 +22,11 @@ import pytest
 
 from repro.cache.write.write_back import WriteBackPolicy
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import StorageSimulator, _distinct_keys
+from repro.sim.engine import (
+    StorageSimulator,
+    _distinct_blocks,
+    _distinct_keys,
+)
 from repro.sim.runner import build_policy, build_write_policy, run_simulation
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.record import IORequest
@@ -281,6 +285,23 @@ def test_distinct_keys_counts_every_key_once(blocks):
     expected = len(set(zip(disks.tolist(), blocks.tolist())))
     assert _distinct_keys(disks, blocks) == expected
     assert _distinct_keys(disks[:0], blocks[:0]) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_blocks_counts_a_multiblock_trace_from_its_rows(seed):
+    rng = np.random.default_rng(seed)
+    n = 400
+    trace = ColumnarTrace(
+        np.arange(n, dtype=np.float64),
+        rng.integers(0, 5, n),
+        rng.integers(0, 60, n) * (1 << (20 * seed)),
+        rng.integers(1, 12, n),
+        np.zeros(n, dtype=bool),
+    )
+    accesses, _ = trace.block_accesses()
+    expected = len(set(zip(accesses.disks.tolist(), accesses.blocks.tolist())))
+    assert _distinct_blocks(trace) == expected
+    assert _distinct_blocks(trace[:1]) == int(trace.nblocks[0])
 
 
 @pytest.mark.parametrize("policy", ["pa-lru", "opg"])
